@@ -1,8 +1,8 @@
 """Direct bounded simulation of the corpus machines.
 
-The direct simulator explores every nondeterministic choice sequence up to
-a step budget (iterative deepening), so its verdict is the ground truth
-the rest of the package is validated against.  The witness it returns is
+The direct simulator explores every computation up to a step budget, one
+level of configurations per step, so its verdict is the ground truth the
+rest of the package is validated against.  The witness it returns is
 the minimum-time accepting run, with ties broken toward the
 lexicographically least choice sequence.
 """

@@ -63,12 +63,22 @@ def _read(path: str) -> str:
         raise SystemExit(EXIT_NOINPUT)
 
 
-def _load_machine(path: str):
+def _usage(message: str):
+    print(f"tmlab: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _load_machine(path: str, w: str):
+    """Parse the machine file and check that ``w`` is over its alphabet."""
     try:
-        return parse_machine(_read(path))
+        machine = parse_machine(_read(path))
     except MachineFormatError as err:
         print(f"tmlab: {path}: {err}", file=sys.stderr)
         raise SystemExit(EXIT_DATA)
+    for s in w:
+        if s not in machine.alphabet:
+            _usage(f"input symbol {s!r} is not in the alphabet of {machine.name}")
+    return machine
 
 
 def _emit(report: RunReport, as_json: bool, text: str):
@@ -95,7 +105,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    machine = _load_machine(args.machine)
+    machine = _load_machine(args.machine, args.input)
     try:
         result = run_direct(machine, args.input, args.max_steps, node_cap=args.node_cap)
     except ResourceCapExceeded as err:
@@ -117,7 +127,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_crossings(args) -> int:
-    machine = _load_machine(args.machine)
+    machine = _load_machine(args.machine, args.input)
     n = args.n
     try:
         result = run_direct(machine, args.input, n * n, node_cap=args.node_cap)
@@ -148,30 +158,26 @@ def cmd_crossings(args) -> int:
 
 
 def cmd_mstar(args) -> int:
-    machine = _load_machine(args.machine)
+    machine = _load_machine(args.machine, args.input)
     n = args.n
-    if args.story is not None:
-        try:
-            guess = load_story(_read(args.story))
-        except StoryFormatError as err:
-            print(f"tmlab: {args.story}: {err}", file=sys.stderr)
-            return EXIT_DATA
-        try:
-            result = verify_story(machine, args.input, guess, node_cap=args.node_cap)
-        except InvalidStoryError as err:
-            print(f"tmlab: {args.story}: {err}", file=sys.stderr)
-            return EXIT_DATA
-        mode = "verify-story"
-        n = guess.n  # the story's own scale governs the budget
-    else:
-        try:
+    if len(args.input) > n:
+        _usage(f"scale -n {n} is below the input length {len(args.input)}")
+    mode = "mstar" if args.story is None else "verify-story"
+    try:
+        if args.story is None:
             result = simulate_mstar(machine, args.input, n, node_cap=args.node_cap)
-        except ResourceCapExceeded as err:
-            report = RunReport(machine=machine.name, input=args.input, mode="mstar",
-                               verdict="resource-cap", n=n, notes=str(err))
-            _emit(report, args.json, f"resource cap exceeded: {err}")
-            return EXIT_RESOURCE
-        mode = "mstar"
+        else:
+            guess = load_story(_read(args.story))
+            n = guess.n  # the story's own scale governs the budget
+            result = verify_story(machine, args.input, guess, node_cap=args.node_cap)
+    except (StoryFormatError, InvalidStoryError) as err:
+        print(f"tmlab: {args.story}: {err}", file=sys.stderr)
+        return EXIT_DATA
+    except ResourceCapExceeded as err:
+        report = RunReport(machine=machine.name, input=args.input, mode=mode,
+                           verdict="resource-cap", n=n, notes=str(err))
+        _emit(report, args.json, f"resource cap exceeded: {err}")
+        return EXIT_RESOURCE
     constants = {"descriptor_constant": result.descriptor_constant}
     if result.accepted:
         constants["time_constant"] = result.sim_time / (result.winning.n ** 2)
@@ -219,6 +225,20 @@ def cmd_normalize(args) -> int:
     return EXIT_ACCEPT
 
 
+def _count(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+    def integer(text: str) -> int:  # argparse names a failed type by its function
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
+_NONNEGATIVE = _count(0)
+_POSITIVE = _count(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tmlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -229,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_input:
             p.add_argument("--input", default="", help="input string (default empty)")
         p.add_argument("--json", action="store_true", help="write a JSON report to stdout")
-        p.add_argument("--node-cap", type=int, default=10_000_000,
-                       help="explored-node cap for searches")
+        p.add_argument("--node-cap", type=_NONNEGATIVE, default=10_000_000,
+                       help="cap on the configurations a search expands")
 
     p = sub.add_parser("validate", help="parse a machine file and check normal form")
     p.add_argument("machine")
@@ -238,17 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="direct bounded nondeterministic simulation")
     common(p)
-    p.add_argument("--max-steps", type=int, required=True, help="step budget")
+    p.add_argument("--max-steps", type=_NONNEGATIVE, required=True, help="step budget")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("crossings", help="phase counts per first-block length")
     common(p)
-    p.add_argument("-n", type=int, required=True, help="block length / scale")
+    p.add_argument("-n", type=_POSITIVE, required=True, help="block length / scale")
     p.set_defaults(func=cmd_crossings)
 
     p = sub.add_parser("mstar", help="story search (or --story verification)")
     common(p)
-    p.add_argument("-n", type=int, required=True, help="scale (budget is n^2)")
+    p.add_argument("-n", type=_POSITIVE, required=True, help="scale (budget is n^2)")
     p.add_argument("--story", help="verify this story file instead of searching")
     p.set_defaults(func=cmd_mstar)
 

@@ -192,6 +192,8 @@ def verify_story(m: Machine, w: str, guess: StoryGuess, budget: Optional[int] = 
     the accepting branch.
     """
     problems = guess.violations(m)
+    if len(w) > guess.n:
+        problems.append(f"story scale n={guess.n} is below the input length {len(w)}")
     if problems:
         raise InvalidStoryError(problems)
     if budget is None:

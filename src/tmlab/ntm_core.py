@@ -20,8 +20,10 @@ head visits.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 LEFT = -1
 RIGHT = +1
@@ -41,7 +43,7 @@ class MachineFormatError(ValueError):
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A bounded search ran out of its explored-node budget.
+    """A bounded search would expand more configurations than its cap allows.
 
     Distinct from rejection: the question was not decided.
     """
@@ -50,7 +52,7 @@ class ResourceCapExceeded(RuntimeError):
 class NodeBudget:
     """Mutable work allowance shared across the calls of one search.
 
-    Charged once per applied rule; exceeding the limit raises
+    Charged once per expanded configuration; exceeding the limit raises
     :class:`ResourceCapExceeded` so callers can distinguish "too much work"
     from a verdict.
     """
@@ -113,6 +115,11 @@ class Machine:
     def rule_for(self, state: int, symbol: str) -> Optional[DetRule]:
         return self.rules.get((state, symbol))
 
+    @cached_property
+    def actions(self) -> dict[tuple[int, str], tuple[int, int, Optional[str]]]:
+        """``(state, symbol) -> (next_state, move, write)``; ``move`` is 0 for a write."""
+        return {key: (r.next_state, r.move or 0, r.write) for key, r in self.rules.items()}
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -143,6 +150,9 @@ def validate_normal_form(m: Machine) -> list[Violation]:
     seen_symbols = set(m.alphabet)
     if len(seen_symbols) != len(m.alphabet):
         out.append(Violation("duplicate-symbol", detail="alphabet symbols must be distinct"))
+    for s in m.alphabet:
+        if len(s) != 1:  # tapes and block contents are strings, one cell per character
+            out.append(Violation("long-symbol", symbol=s, detail="symbols must be single characters"))
 
     det_states = {q for (q, _s) in m.rules}
     for q in sorted(det_states & set(m.branches)):
@@ -465,58 +475,189 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
                  final=config, usage=usage)
 
 
+# ---------------------------------------------------------------------------
+# level-order configuration search
+
+
+@dataclass(frozen=True)
+class RawStop:
+    """Where one computation of :func:`search_configurations` stopped."""
+
+    kind: str                # "exit" | "halt" | "cap"
+    delta: Optional[int]     # exit side for "exit"
+    state: int               # exit state ("exit") or halting state
+    content: str
+    steps: int
+    choices: tuple[int, ...]
+
+
+def _write(content: str, pos: int, symbol: str) -> str:
+    """``content`` with cell ``pos`` set to ``symbol``, trailing blanks dropped."""
+    if pos < len(content):
+        out = content[:pos] + symbol + content[pos + 1:]
+        return out.rstrip(BLANK) if symbol == BLANK and pos == len(content) - 1 else out
+    return content if symbol == BLANK else content + BLANK * (pos - len(content)) + symbol
+
+
+def search_configurations(m: Machine, state: int, pos: int, content: str, step_cap: int,
+                          width: Optional[int] = None, left_is_edge: bool = True,
+                          work: Optional[NodeBudget] = None) -> Iterator[RawStop]:
+    """Yield every stop of the computations starting from one configuration.
+
+    A computation stops when a move leaves the tape window (``"exit"``),
+    when no rule applies (``"halt"``) or when it reaches ``step_cap``
+    applied rules still running (``"cap"``).  Cells are numbered from 0.  A move to cell ``-1`` exits on the left; a
+    move to cell ``width`` exits on the right, and with ``width=None`` the
+    tape grows rightward without end.  On a left exit ``left_is_edge``
+    reports the state the move was attempted in, as a halt at the tape's
+    left end does; otherwise the exit carries the move's next state.
+
+    The search is level-order.  Level ``t`` holds each distinct
+    configuration ``(state, pos, content)`` reached by exactly ``t``
+    applied rules, kept at its first arrival.  Levels are expanded in
+    order, each in the order its configurations arrived, so a first
+    arrival carries the lexicographically least branch choices of its
+    length, and stops are yielded in order of fewest steps, then least
+    choices.  Configurations are deduplicated within a level only, so
+    level ``t`` is exactly the set of ends of the length-``t``
+    computations, and a cap means some computation really runs that long.
+
+    Each expanded configuration is charged to ``work``.  While a level
+    holds a single deterministic configuration the search runs it ahead
+    without building levels.
+    """
+    actions = m.actions
+    branches = m.branches
+    right = sys.maxsize if width is None else width
+    work = work or NodeBudget(sys.maxsize)
+    ended = object()  # marks a level entry that halted or hit the cap
+
+    def stop(kind, delta, q, c, t, chain):
+        picks = []
+        while chain is not None:  # a chain is (last pick, earlier chain)
+            pick, chain = chain
+            picks.append(pick)
+        if width is not None:
+            c += BLANK * (width - len(c))
+        return RawStop(kind, delta, q, c, t, tuple(reversed(picks)))
+
+    content = content.rstrip(BLANK)  # blanks past the last mark are implicit
+    if state not in branches and (state, content[pos] if pos < len(content) else BLANK) not in actions:
+        yield stop("halt", None, state, content, 0, None)
+        return
+    if step_cap < 1:
+        yield stop("cap", None, state, content, 0, None)
+        return
+    level = {(state, pos, content): None}
+    t = 0
+    while level:
+        if len(level) == 1:
+            (q, p, c), chain = next(iter(level.items()))
+            if q not in branches:
+                # Run ahead: one deterministic computation, no levels built.
+                # Its expansions are charged once, at the end; ``last`` is
+                # the deepest it may go before the step cap or the budget.
+                start = t
+                last = min(step_cap, t + work.limit - work.used)
+                kind = delta = None
+                while True:
+                    act = actions.get((q, c[p] if p < len(c) else BLANK))
+                    if act is None:
+                        kind = "halt"
+                        break
+                    if t >= last:
+                        break
+                    nq, move, write = act
+                    t += 1
+                    if write is None:
+                        p += move
+                        if p < 0:
+                            kind, delta, q = "exit", LEFT, q if left_is_edge else nq
+                            break
+                        if p >= right:
+                            kind, delta, q = "exit", RIGHT, nq
+                            break
+                    else:
+                        c = _write(c, p, write)
+                    q = nq
+                    if q in branches:
+                        break
+                if kind is None and t >= step_cap:
+                    kind = "cap"
+                # one more expansion is due when the budget, not the cap, stopped the run
+                work.charge(t - start + (kind is None and t >= last))
+                if kind is not None:
+                    yield stop(kind, delta, q, c, t, chain)
+                    return
+                level = {(q, p, c): chain}
+        t += 1
+        nxt = {}
+        for (q, p, c), chain in level.items():
+            work.charge()
+            succs = branches.get(q)
+            if succs is None:
+                nq, move, write = actions[q, c[p] if p < len(c) else BLANK]
+                if write is not None:
+                    arrivals = (((nq, p, _write(c, p, write)), chain),)
+                elif p + move < 0:
+                    yield stop("exit", LEFT, q if left_is_edge else nq, c, t, chain)
+                    continue
+                elif p + move >= right:
+                    yield stop("exit", RIGHT, nq, c, t, chain)
+                    continue
+                else:
+                    arrivals = (((nq, p + move, c), chain),)
+            else:
+                arrivals = [((nq, p, c), (pick, chain)) for pick, nq in enumerate(succs)]
+            for key, at in arrivals:
+                if key in nxt:
+                    continue
+                nq, np, nc = key
+                if nq not in branches and (nq, nc[np] if np < len(nc) else BLANK) not in actions:
+                    nxt[key] = ended
+                    yield stop("halt", None, nq, nc, t, at)
+                elif t >= step_cap:
+                    nxt[key] = ended
+                    yield stop("cap", None, nq, nc, t, at)
+                else:
+                    nxt[key] = at
+        level = {key: at for key, at in nxt.items() if at is not ended}
+
+
 @dataclass(frozen=True)
 class DirectResult:
     accepted: bool
     witness: Optional[Trace]
     usage: Optional[ResourceUsage]
-    explored: int
+    explored: int   # configuration expansions
 
 
 def run_direct(m: Machine, w: str, max_time: int, node_cap: int = DEFAULT_NODE_CAP) -> DirectResult:
-    """Exhaustive bounded search over nondeterministic choice sequences.
+    """Exhaustive bounded search over the machine's computations.
 
     Accepts iff some computation of at most ``max_time`` applied rules
-    accepts.  The witness is a minimum-time accepting trace; ties are
-    broken by the lexicographically smallest branch-choice sequence
-    (iterative deepening with choices tried in ascending order guarantees
-    both).  Raises :class:`ResourceCapExceeded` when more than ``node_cap``
-    rule applications would be explored.
+    accepts: the first accepting left-edge exit of
+    :func:`search_configurations`, on a tape that grows rightward on
+    demand.  The witness is a minimum-time accepting trace; ties are broken
+    by the lexicographically smallest branch-choice sequence.  Raises
+    :class:`ResourceCapExceeded` when more than ``node_cap`` configurations
+    would be expanded.
     """
     if max_time < 0:
         raise ValueError("max_time must be >= 0")
-    init = initial_configuration(m, w)
-    explored = 0
-
-    def dfs(config: Configuration, remaining: int, prefix: list[int]) -> Optional[list[int]]:
-        nonlocal explored
-        if remaining == 0:
-            return None
-        explored += 1
-        if explored > node_cap:
-            raise ResourceCapExceeded(f"direct search exceeded node cap {node_cap}")
-        if m.is_branch_state(config.state):
-            for idx in range(len(m.branches[config.state])):
-                prefix.append(idx)
-                nxt = step(m, config, idx)
-                assert isinstance(nxt, Configuration)
-                found = dfs(nxt, remaining - 1, prefix)
-                if found is not None:
-                    return found
-                prefix.pop()
-            return None
-        nxt = step(m, config)
-        if isinstance(nxt, Halt):
-            return list(prefix) if nxt.accepting else None
-        return dfs(nxt, remaining - 1, prefix)
-
-    for bound in range(max_time + 1):
-        found = dfs(init, bound, []) if bound > 0 else None
-        if found is not None:
-            witness = run_with_choices(m, w, found, bound)
-            assert witness.outcome is Outcome.ACCEPTED
-            return DirectResult(accepted=True, witness=witness, usage=witness.usage, explored=explored)
-    return DirectResult(accepted=False, witness=None, usage=None, explored=explored)
+    initial_configuration(m, w)  # rejects symbols outside the alphabet
+    work = NodeBudget(node_cap, "direct search")
+    found = None
+    for stop in search_configurations(m, 0, 0, w, max_time, work=work):
+        if stop.kind == "exit" and stop.state == 1:
+            found = stop
+            break
+    if found is None:
+        return DirectResult(accepted=False, witness=None, usage=None, explored=work.used)
+    # replayed once the search is freed, so its levels and the trace never coexist
+    witness = run_with_choices(m, w, found.choices, found.steps)
+    assert witness.outcome is Outcome.ACCEPTED
+    return DirectResult(accepted=True, witness=witness, usage=witness.usage, explored=work.used)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +735,8 @@ def parse_general_machine(text: str) -> GeneralMachine:
         raise MachineFormatError("general machine needs states, alphabet and accept lines", 1)
     if BLANK not in alphabet:
         raise MachineFormatError(f"alphabet must include the blank symbol {BLANK!r}", 1)
+    if any(len(s) != 1 for s in alphabet):
+        raise MachineFormatError("alphabet symbols must be single characters", 1)
     g = GeneralMachine(name=name or "general", state_count=state_count, alphabet=alphabet,
                        accepting=accepting, rules={k: tuple(v) for k, v in rules.items()})
     for (q, s), alts in g.rules.items():
@@ -614,42 +757,35 @@ def run_direct_general(g: GeneralMachine, w: str, max_time: int,
     """Bounded exhaustive search for general machines.
 
     Accepts iff some computation enters an accepting state within
-    ``max_time`` transitions.  Used as the independent oracle when testing
-    :func:`normalize`.
+    ``max_time`` transitions.  A breadth-first search over configurations
+    ``(state, cell, tape)``, each kept at its first arrival; ``explored``
+    counts the transitions tried.  Used as the independent oracle when
+    testing :func:`normalize`.
     """
     for s in w:
         if s not in g.alphabet:
             raise ValueError(f"input symbol {s!r} not in machine alphabet")
     explored = 0
-
-    def dfs(state, head, tape, remaining) -> bool:
-        nonlocal explored
-        if state in g.accepting:
-            return True
-        if remaining == 0:
-            return False
-        alts = g.rules.get((state, tape.get(head, BLANK)), ())
-        for r in alts:
-            explored += 1
-            if explored > node_cap:
-                raise ResourceCapExceeded(f"general search exceeded node cap {node_cap}")
-            new_head = head + r.move
-            if new_head < 1:
-                continue  # falling off the left edge kills this computation
-            old = tape.get(head)
-            tape[head] = r.write
-            if dfs(r.next_state, new_head, tape, remaining - 1):
-                return True
-            if old is None:
-                del tape[head]
-            else:
-                tape[head] = old
-        return False
-
-    for bound in range(max_time + 1):
-        tape = {i + 1: s for i, s in enumerate(w)}
-        if dfs(0, 1, tape, bound):
-            return DirectResult(accepted=True, witness=None, usage=None, explored=explored)
+    level = [(0, 0, w.rstrip(BLANK))]
+    seen = set(level)
+    for t in range(max_time + 1):
+        nxt = []
+        for state, pos, tape in level:
+            if state in g.accepting:
+                return DirectResult(accepted=True, witness=None, usage=None, explored=explored)
+            if t == max_time:
+                continue
+            for r in g.rules.get((state, tape[pos] if pos < len(tape) else BLANK), ()):
+                explored += 1
+                if explored > node_cap:
+                    raise ResourceCapExceeded(f"general search exceeded node cap {node_cap}")
+                if pos + r.move < 0:
+                    continue  # falling off the left edge kills this computation
+                config = (r.next_state, pos + r.move, _write(tape, pos, r.write))
+                if config not in seen:
+                    seen.add(config)
+                    nxt.append(config)
+        level = nxt
     return DirectResult(accepted=False, witness=None, usage=None, explored=explored)
 
 

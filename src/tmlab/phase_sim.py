@@ -18,10 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .crossing import Descriptor
-from .ntm_core import LEFT, RIGHT, Machine, NodeBudget
-
-SENTINEL_LEFT = "⟨"   # only used in rendering; never on a tape
-SENTINEL_RIGHT = "⟩"
+from .ntm_core import LEFT, RIGHT, Machine, NodeBudget, RawStop, search_configurations
 
 
 class InconsistentDescriptors(ValueError):
@@ -48,84 +45,27 @@ class PhaseOutcome:
     choices: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class RawStop:
-    """Where one computation of the block engine stopped."""
-
-    kind: str                # "exit" | "halt" | "cap"
-    delta: Optional[int]     # exit side for "exit"
-    state: int               # exit state ("exit") or halting state
-    content: str
-    steps: int
-    choices: tuple[int, ...]
-
-
 def enumerate_block_runs(m: Machine, start_state: int, enter_delta: int, x: str,
                          step_cap: int, left_is_edge: bool,
                          work: Optional[NodeBudget] = None) -> Iterator[RawStop]:
     """Run the machine inside ``<x>``, yielding every distinct stop.
 
     The head starts on the first cell of ``x`` when entering rightward and
-    on its last cell when entering leftward.  Stops are yielded in
-    lexicographic branch-choice order.  ``left_is_edge`` marks block 1,
-    where landing on the left sentinel reports the pre-move state.
-
-    ``step_cap`` bounds each computation's depth; on branchy machines the
-    choice tree can still be exponential in it, so pass a ``work`` budget
-    to bound the total enumeration effort.
+    on its last cell when entering leftward.  ``left_is_edge`` marks block
+    1, where landing on the left sentinel reports the pre-move state.
+    Stops come from :func:`search_configurations`, in order of fewest
+    steps, then least branch choices, so the first stop with a given
+    content, state and side is its cheapest realization.  ``step_cap``
+    bounds each computation's depth, and a ``work`` budget bounds the
+    configurations expanded.
     """
     if not x:
         raise ValueError("block content must be nonempty")
     if step_cap < 1:
         raise ValueError("step_cap must be >= 1")
-    content = list(x)
-    size = len(content)
-    start_pos = 0 if enter_delta == RIGHT else size - 1
-    choices: list[int] = []
-
-    def run(state: int, pos: int, steps: int) -> Iterator[RawStop]:
-        while True:
-            if m.is_branch_state(state):
-                succs = m.branches[state]
-                if steps >= step_cap:
-                    yield RawStop("cap", None, state, "".join(content), steps, tuple(choices))
-                    return
-                for idx in range(len(succs)):
-                    if work is not None:
-                        work.charge()
-                    choices.append(idx)
-                    yield from run(succs[idx], pos, steps + 1)
-                    choices.pop()
-                return
-            rule = m.rule_for(state, content[pos])
-            if rule is None:
-                yield RawStop("halt", None, state, "".join(content), steps, tuple(choices))
-                return
-            if steps >= step_cap:
-                yield RawStop("cap", None, state, "".join(content), steps, tuple(choices))
-                return
-            if work is not None:
-                work.charge()
-            steps += 1
-            if rule.write is not None:
-                old = content[pos]
-                content[pos] = rule.write
-                yield from run(rule.next_state, pos, steps)
-                content[pos] = old
-                return
-            new_pos = pos + rule.move
-            if new_pos < 0:
-                # left sentinel: at the tape edge the machine halts in the
-                # state it attempted the move in
-                state_out = state if left_is_edge else rule.next_state
-                yield RawStop("exit", LEFT, state_out, "".join(content), steps, tuple(choices))
-                return
-            if new_pos >= size:
-                yield RawStop("exit", RIGHT, rule.next_state, "".join(content), steps, tuple(choices))
-                return
-            state, pos = rule.next_state, new_pos
-
-    yield from run(start_state, start_pos, 0)
+    yield from search_configurations(m, start_state, 0 if enter_delta == RIGHT else len(x) - 1,
+                                     x, step_cap, width=len(x), left_is_edge=left_is_edge,
+                                     work=work)
 
 
 def block_index_for(d_in: Descriptor) -> int:
@@ -158,9 +98,9 @@ def simulate_phase(m: Machine, d_in: Descriptor, d_out: Descriptor, x: str,
     right sentinel and milestone ``block`` for ``delta == +1``) in state
     ``d_out.state``; everything else is returned rejected with a reason.
     Outcomes are deduplicated on ``(content, state, exit side)``, keeping
-    the cheapest realization (fewest steps, then lexicographically least
-    choices), and listed in first-encounter order, which is lexicographic
-    in the branch choices.
+    the cheapest realization, and listed in order of fewest steps, then
+    lexicographically least choices: the order stops arrive in, so the
+    first arrival of an outcome is its cheapest.
     """
     block = validate_descriptor_pair(d_in, d_out)
     if len(x) < 1:
@@ -190,7 +130,5 @@ def simulate_phase(m: Machine, d_in: Descriptor, d_out: Descriptor, x: str,
             out = PhaseOutcome(True, stop.content, stop.steps, None,
                                stop.delta, stop.state, stop.content, stop.choices)
         key = (out.accepted, out.reject_reason, out.content, out.exit_state, out.exit_delta)
-        prev = seen.get(key)
-        if prev is None or (out.steps, out.choices) < (prev.steps, prev.choices):
-            seen[key] = out  # cheaper realization replaces; position is kept
+        seen.setdefault(key, out)
     return list(seen.values())

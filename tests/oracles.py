@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the phase simulator and block checker: block
-feasibility is decided by running the machine on absolute tape cells with
-:func:`tmlab.step`, enumerating every nondeterministic choice sequence.
+These deliberately avoid the configuration search, the phase simulator
+and the block checker: runs and block feasibility are decided by running
+the machine on absolute tape cells with :func:`tmlab.step`, enumerating
+every nondeterministic choice sequence.
 """
 
 from __future__ import annotations
@@ -23,6 +24,44 @@ from tmlab import (
     step,
     validate_normal_form,
 )
+
+
+@dataclass(frozen=True)
+class OracleRun:
+    time: int
+    space: int
+    choices: tuple[int, ...]
+
+
+def least_accepting_run(m: Machine, w: str, max_time: int) -> Optional[OracleRun]:
+    """The accepting computation with the fewest steps, then the least choices.
+
+    Tries the choice sequences in ascending order at step bounds 1, 2, ...,
+    ``max_time``, and returns the first computation that accepts within
+    the bound.
+    """
+
+    def rec(config: Configuration, steps: int, bound: int, choices: tuple[int, ...],
+            visited: frozenset) -> Optional[OracleRun]:
+        if steps == bound:
+            return None
+        if m.is_branch_state(config.state):
+            for idx in range(len(m.branches[config.state])):
+                found = rec(step(m, config, idx), steps + 1, bound, choices + (idx,), visited)
+                if found is not None:
+                    return found
+            return None
+        nxt = step(m, config)
+        if isinstance(nxt, Halt):
+            return OracleRun(steps + 1, len(visited), choices) if nxt.accepting else None
+        return rec(nxt, steps + 1, bound, choices, visited | {nxt.head})
+
+    start = Configuration(state=0, head=1, tape={i + 1: s for i, s in enumerate(w)})
+    for bound in range(1, max_time + 1):
+        found = rec(start, 0, bound, (), frozenset({1}))
+        if found is not None:
+            return found
+    return None
 
 
 @dataclass(frozen=True)

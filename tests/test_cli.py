@@ -78,17 +78,57 @@ def test_run_json_report_round_trips(machine_file, capsys):
 
 
 def test_run_resource_cap_exit_code(tmp_path, capsys):
+    # guessing a symbol, writing it and moving right doubles the distinct
+    # configurations of a level every three steps
     path = tmp_path / "branchy.tm"
-    path.write_text("states 4\nalphabet 0\nnondet 0 2 3\n"
-                    "det 2 0 write 0 0\ndet 3 0 write 0 0\n")
+    path.write_text("states 5\nalphabet 0 a b\nnondet 0 2 3\n"
+                    "det 2 0 write a 4\ndet 3 0 write b 4\n"
+                    "det 4 a move R 0\ndet 4 b move R 0\n")
     code, out, _ = run_cli(capsys, "run", str(path), "--input", "",
                            "--max-steps", "40", "--node-cap", "50")
     assert code == 2 and "resource cap" in out
+    # a branch state feeding itself has only 3 configurations: 20 steps
+    # expand 30 of them, within the same cap
+    path = tmp_path / "spin.tm"
+    path.write_text("states 4\nalphabet 0\nnondet 0 2 3\n"
+                    "det 2 0 write 0 0\ndet 3 0 write 0 0\n")
+    code, out, _ = run_cli(capsys, "run", str(path), "--input", "",
+                           "--max-steps", "20", "--node-cap", "50")
+    assert code == 1 and "rejected" in out
 
 
 def test_bad_flags_exit_64(machine_file, capsys):
     code, _, err = run_cli(capsys, "run", machine_file("palindrome"))
     assert code == 64 and "max-steps" in err
+
+
+def test_negative_counts_exit_64(machine_file, capsys):
+    pal = machine_file("palindrome")
+    for argv in (["--max-steps", "-3"], ["--max-steps", "30", "--node-cap", "-3"]):
+        code, out, err = run_cli(capsys, "run", pal, "--input", "aba", *argv)
+        assert code == 64 and argv[-2] in err and out == "", argv
+
+
+def test_input_symbol_outside_alphabet_exits_64(machine_file, capsys):
+    for argv in (["run", "--max-steps", "30"], ["crossings", "-n", "5"], ["mstar", "-n", "5"]):
+        code, out, err = run_cli(capsys, argv[0], machine_file("palindrome"),
+                                 "--input", "abc", *argv[1:])
+        assert code == 64 and "'c'" in err and out == "", argv
+
+
+def test_long_palindrome_is_accepted_without_recursion(machine_file, capsys):
+    half = "abbabaaababbbaab" + "abbaabab"
+    code, out, _ = run_cli(capsys, "run", machine_file("palindrome"), "--input",
+                           half + half[::-1], "--max-steps", "5000", "--json")
+    assert code == 0 and report_from_json(out).resources["time"] == 1297
+
+
+def test_search_ends_when_no_computation_runs(machine_file, capsys):
+    # a step budget far beyond the cap: the deterministic run halts after a
+    # few steps and nothing is left to expand
+    code, out, _ = run_cli(capsys, "run", machine_file("palindrome"), "--input", "ab",
+                           "--max-steps", "10000000", "--json")
+    assert code == 1 and report_from_json(out).resources["explored"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +151,12 @@ def test_crossings_rejecting_input_empty_table(machine_file, capsys):
     assert code == 1
     report = report_from_json(out)
     assert report.k_table == [] and report.verdict == "rejected"
+
+
+def test_crossings_zero_scale_exits_64(machine_file, capsys):
+    code, out, err = run_cli(capsys, "crossings", machine_file("palindrome"),
+                             "--input", "aba", "-n", "0")
+    assert code == 64 and "-n" in err and out == ""
 
 
 def test_crossings_confined_run_all_twos(machine_file, capsys):
@@ -152,6 +198,13 @@ def test_mstar_and_run_agree_across_the_corpus(tmp_path, capsys):
             assert run_code == mstar_code, (name, w)
 
 
+def test_mstar_bad_scale_exits_64(machine_file, capsys):
+    for n in ("0", "2"):  # not positive; below |w| = 3
+        code, out, err = run_cli(capsys, "mstar", machine_file("palindrome"),
+                                 "--input", "aba", "-n", n)
+        assert code == 64 and "-n" in err and out == "", n
+
+
 def test_mstar_json_carries_constants(machine_file, capsys):
     code, out, _ = run_cli(capsys, "mstar", machine_file("guesser"),
                            "--input", "aaaa", "-n", "4", "--json")
@@ -172,6 +225,31 @@ def test_mstar_story_verify_mode(machine_file, tmp_path, capsys):
                            "--story", str(story_path), "--json")
     assert code == 0
     assert report_from_json(out).mode == "verify-story"
+
+
+def sweep_story(machine_file, tmp_path, capsys):
+    """sweep_right's file and the story ``crossings`` extracts on abab at n=4."""
+    sweep = machine_file("sweep_right")
+    _, out, _ = run_cli(capsys, "crossings", sweep, "--input", "abab", "-n", "4", "--json")
+    story_path = tmp_path / "story.json"
+    story_path.write_text(json.dumps(report_from_json(out).story))
+    return sweep, str(story_path)
+
+
+def test_mstar_story_below_input_length_exits_65(machine_file, tmp_path, capsys):
+    sweep, story = sweep_story(machine_file, tmp_path, capsys)
+    code, out, err = run_cli(capsys, "mstar", sweep, "--input", "abababab", "-n", "8",
+                             "--story", story)
+    assert code == 65 and "below the input length" in err and out == ""
+
+
+def test_mstar_story_resource_cap_exits_2(machine_file, tmp_path, capsys):
+    sweep, story = sweep_story(machine_file, tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "mstar", sweep, "--input", "abab", "-n", "4",
+                           "--story", story, "--node-cap", "0", "--json")
+    assert code == 2
+    report = report_from_json(out)
+    assert report.verdict == "resource-cap" and report.mode == "verify-story"
 
 
 def test_mstar_malformed_story_exits_65(machine_file, tmp_path, capsys):

@@ -1,6 +1,11 @@
 """Machine model: parsing, validation, stepping, direct search, normalize."""
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlab import (
     BLANK,
@@ -8,6 +13,7 @@ from tmlab import (
     DetRule,
     Halt,
     HaltReason,
+    LEFT,
     Machine,
     MachineFormatError,
     Outcome,
@@ -25,11 +31,23 @@ from tmlab import (
     validate_normal_form,
 )
 
+from oracles import least_accepting_run, random_machine
+
 MINIMAL_ALWAYS_ACCEPT = """\
 states 2
 alphabet 0
 det 0 0 write 0 1
 det 1 0 move L 1
+"""
+
+GUESS_WRITE_RIGHT = """\
+states 5
+alphabet 0 a b
+nondet 0 2 3
+det 2 0 write a 4
+det 3 0 write b 4
+det 4 a move R 0
+det 4 b move R 0
 """
 
 
@@ -63,6 +81,13 @@ def test_parse_rejects_short_branch_list():
 def test_parse_requires_blank_in_alphabet():
     with pytest.raises(MachineFormatError, match="blank"):
         parse_machine("states 2\nalphabet a b\ndet 0 a move R 1\n")
+
+
+def test_parse_rejects_multi_character_symbols():
+    with pytest.raises(MachineFormatError, match="long-symbol"):
+        parse_machine("states 2\nalphabet 0 xy\ndet 0 0 write xy 1\n")
+    with pytest.raises(MachineFormatError, match="single characters"):
+        parse_general_machine("general g\nstates 2\nalphabet 0 xy\naccept 1\n")
 
 
 def test_parse_rejects_duplicate_rule():
@@ -209,10 +234,33 @@ def test_run_direct_rejects_bad_input_symbol(corpus):
 
 
 def test_run_direct_node_cap_is_an_error_not_a_verdict():
-    # one branch state feeding itself: exponentially many choice sequences
-    m = parse_machine("states 4\nalphabet 0\nnondet 0 2 3\ndet 2 0 write 0 0\ndet 3 0 write 0 0\n")
+    # guess a symbol, write it, move right: the distinct configurations of
+    # a level double every three steps
+    m = parse_machine(GUESS_WRITE_RIGHT)
     with pytest.raises(ResourceCapExceeded):
         run_direct(m, "", 40, node_cap=100)
+    # one branch state feeding itself has exponentially many choice
+    # sequences but only 3 configurations, so the same cap decides it
+    spin = parse_machine("states 4\nalphabet 0\nnondet 0 2 3\ndet 2 0 write 0 0\ndet 3 0 write 0 0\n")
+    assert not run_direct(spin, "", 40, node_cap=100).accepted
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=9))
+@settings(max_examples=300, deadline=None)
+def test_run_direct_matches_brute_force_oracle(seed, budget):
+    rng = random.Random(seed)
+    m = random_machine(rng)
+    # state 1 sweeps left, so reaching it accepts: about a third of these
+    # machines accept within 9 steps, against one in twenty otherwise
+    m = dataclasses.replace(m, rules={**m.rules, **{
+        (1, s): DetRule(next_state=1, move=LEFT) for s in m.alphabet}})
+    w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+    want = least_accepting_run(m, w, budget)
+    got = run_direct(m, w, budget)
+    assert got.accepted == (want is not None)
+    if want is not None:
+        assert (got.usage.time, got.usage.space, got.witness.choices) == (
+            want.time, want.space, want.choices)
 
 
 def test_space_never_exceeds_time_plus_one(corpus):

@@ -1,11 +1,16 @@
 """Single-phase simulation on a sentinel-delimited block."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlab import (
     Descriptor,
     InconsistentDescriptors,
     LEFT,
+    Partition,
     RIGHT,
     RejectReason,
     parse_machine,
@@ -14,6 +19,8 @@ from tmlab import (
     run_direct,
     simulate_phase,
 )
+
+from oracles import block_stops, random_machine
 
 SWEEPER = parse_machine("""\
 machine transit
@@ -65,10 +72,27 @@ def test_halt_inside_is_rejected():
 
 
 def test_branchy_enumeration_respects_work_budget():
-    # a branch state feeding write loops has a choice tree exponential in
-    # the step cap; the shared work budget must cut it off as an error
+    # guessing a symbol, writing it and moving right doubles the distinct
+    # configurations of a level every three steps; the shared work budget
+    # must cut the search off as an error
     from tmlab import NodeBudget, ResourceCapExceeded
     m = parse_machine("""\
+states 5
+alphabet 0 a b
+nondet 0 2 3
+det 2 0 write a 4
+det 3 0 write b 4
+det 4 a move R 0
+det 4 b move R 0
+""")
+    d_in = Descriptor(phase=2, milestone=1, state=0, delta=RIGHT)
+    d_out = Descriptor(phase=3, milestone=2, state=0, delta=RIGHT)
+    with pytest.raises(ResourceCapExceeded):
+        simulate_phase(m, d_in, d_out, "0" * 20, step_cap=40,
+                       work=NodeBudget(5_000, "test enumeration"))
+    # a branch state feeding write loops has a choice tree exponential in
+    # the step cap but few configurations, so the same budget decides it
+    loops = parse_machine("""\
 states 6
 alphabet 0 a b
 nondet 0 2 3 4
@@ -85,11 +109,10 @@ det 5 a write a 0
 det 5 b write b 0
 det 5 0 write 0 0
 """)
-    d_in = Descriptor(phase=2, milestone=1, state=0, delta=RIGHT)
     d_out = Descriptor(phase=3, milestone=2, state=5, delta=RIGHT)
-    with pytest.raises(ResourceCapExceeded):
-        simulate_phase(m, d_in, d_out, "00", step_cap=40,
-                       work=NodeBudget(5_000, "test enumeration"))
+    outs = simulate_phase(loops, d_in, d_out, "00", step_cap=40,
+                          work=NodeBudget(5_000, "test enumeration"))
+    assert outs and not accepted(outs)
 
 
 def test_step_cap_is_a_distinct_outcome():
@@ -211,3 +234,29 @@ def test_recorded_phases_replay_from_ground_truth(corpus):
             hits = [o for o in outs if o.accepted and o.result == rec.content_after]
             assert hits, (P, rec)
             assert any(o.steps <= rec.steps for o in hits)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=300, deadline=None)
+def test_outcomes_match_raw_stepping_oracle(seed):
+    # every way the phase can stop, each at its fewest steps, agrees with
+    # running the machine on the block's absolute cells
+    rng = random.Random(seed)
+    m = random_machine(rng)
+    n = rng.randint(1, 3)
+    part = Partition(P=rng.randint(1, n), n=n, r=3)
+    j = rng.randint(1, 3)
+    delta = rng.choice((LEFT, RIGHT))
+    state = rng.randrange(m.state_count)
+    content = "".join(rng.choice("0ab") for _ in range(part.block_length(j)))
+    cap = rng.randint(1, 8)
+    d_in = Descriptor(phase=2, milestone=j - 1 if delta == RIGHT else j, state=state, delta=delta)
+    d_out = Descriptor(phase=3, milestone=j, state=rng.randrange(m.state_count), delta=RIGHT)
+    got = {(o.content, o.exit_state, o.exit_delta): o.steps
+           for o in simulate_phase(m, d_in, d_out, content, cap)
+           if o.reject_reason is not RejectReason.STEP_CAP_EXCEEDED}
+    want: dict = {}
+    for s in block_stops(m, part, j, state, delta, content, cap):
+        key = (s.content, s.state, s.delta)
+        want[key] = min(want.get(key, s.steps), s.steps)
+    assert got == want
