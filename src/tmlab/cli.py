@@ -68,8 +68,8 @@ def _usage(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
-def _load_machine(path: str, w: str):
-    """Parse the machine file and check that ``w`` is over its alphabet."""
+def _load_machine(path: str, w: str, n: Optional[int] = None):
+    """Parse the machine file; check ``w`` against its alphabet and scale ``n``."""
     try:
         machine = parse_machine(_read(path))
     except MachineFormatError as err:
@@ -78,6 +78,8 @@ def _load_machine(path: str, w: str):
     for s in w:
         if s not in machine.alphabet:
             _usage(f"input symbol {s!r} is not in the alphabet of {machine.name}")
+    if n is not None and len(w) > n:
+        _usage(f"scale -n {n} is below the input length {len(w)}")
     return machine
 
 
@@ -127,7 +129,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_crossings(args) -> int:
-    machine = _load_machine(args.machine, args.input)
+    machine = _load_machine(args.machine, args.input, args.n)
     n = args.n
     try:
         result = run_direct(machine, args.input, n * n, node_cap=args.node_cap)
@@ -158,10 +160,8 @@ def cmd_crossings(args) -> int:
 
 
 def cmd_mstar(args) -> int:
-    machine = _load_machine(args.machine, args.input)
+    machine = _load_machine(args.machine, args.input, args.n)
     n = args.n
-    if len(args.input) > n:
-        _usage(f"scale -n {n} is below the input length {len(args.input)}")
     mode = "mstar" if args.story is None else "verify-story"
     try:
         if args.story is None:

@@ -11,10 +11,14 @@ machine steps, the same step counting the direct search uses.
 The nondeterministic "guess a story" becomes a deterministic canonical
 enumeration: first block lengths ascending, then phase counts ascending,
 then stories ordered lexicographically by their phase-ordered descriptor
-tuples ``(milestone, state, delta)``.  The search prunes story prefixes
-whose phases cannot be realized at all, which never changes which story is
-found first, and the winner is re-verified through the block-by-block
-pipeline to produce the reported result.
+tuples ``(milestone, state, delta)``.  For each first block length one
+walk extends story prefixes phase by phase, each level in lexicographic
+order, and the first prefix that can close wins; so every prefix is
+examined once per first block length, and ``wall_stats`` counts each
+once.  The walk prunes prefixes whose phases cannot be realized at all,
+which never changes which story is found first, and the winner is
+re-verified through the block-by-block pipeline to produce the reported
+result.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .crossing import (
     block_story,
 )
 from .ntm_core import (
-    BLANK,
     DEFAULT_NODE_CAP,
     LEFT,
     NodeBudget,
@@ -299,19 +302,6 @@ def implication_chain(guess: StoryGuess, block_verdicts: list[bool]) -> ChainRep
 # canonical story enumeration with realizability pruning
 
 
-def _initial_content(j: int, P: int, n: int, w: str) -> str:
-    if j == 1:
-        chunk = w[:P]
-        size = P
-    elif j == 2:
-        chunk = w[P:]
-        size = n
-    else:
-        chunk = ""
-        size = n
-    return chunk + BLANK * (size - len(chunk))
-
-
 @dataclass(frozen=True)
 class _Entry:
     """One realizable way to reach the current story prefix."""
@@ -324,7 +314,7 @@ class _Entry:
         for idx, text in self.contents:
             if idx == j:
                 return text
-        return _initial_content(j, P, n, w)
+        return initial_block_content(j, Partition(P=P, n=n, r=j), w)
 
     def with_block(self, j: int, text: str, add_steps: int,
                    picks: tuple[int, ...]) -> "_Entry":
@@ -355,58 +345,62 @@ class _StorySearch:
                     left_is_edge=(block == 1), work=self.work)
                 if stop.kind == "exit"]
 
-    def find(self, P: int, k: int) -> Optional[tuple[list[Descriptor], _Entry]]:
-        """Lexicographically first realizable story for ``(P, k)``."""
+    def find(self, P: int, kmax: int) -> Optional[tuple[int, list[Descriptor], _Entry]]:
+        """Fewest-phase, then lexicographically first, story for ``P``.
+
+        Walks the story prefixes level by level, up to ``kmax - 1`` phases:
+        level ``j`` holds every realizable prefix of ``j`` phases, in
+        lexicographic order, each with the frontier of block contents that
+        reach it.  A prefix's frontier does not depend on how many phases
+        the story will have, so the first prefix that can close on the
+        shallowest level is the first story in canonical order, and each
+        prefix is examined once.
+        """
         start = _Entry(contents=(), steps=0, choices=())
-        return self._dfs(P, k, phase=1, block=1, d_in=OPENER,
-                         frontier=[start], prefix=[])
+        level = [(1, OPENER, [start], [])]
+        for phase in range(1, kmax):
+            children = []
+            for block, d_in, frontier, prefix in level:
+                self.prefixes += 1
+                # run the phase from every reachable content state and group
+                # the exits by the crossing descriptor they would realize
+                grouped: dict[tuple[int, int, int], list[tuple]] = {}
+                for entry in frontier:
+                    for stop in self._stops(entry, d_in, block, P):
+                        if stop.delta == LEFT and block == 1:
+                            # tape edge: only the accepting closer may use it
+                            if stop.state != 1:
+                                continue
+                            key = (0, 1, LEFT)
+                        elif stop.delta == LEFT:
+                            key = (block - 1, stop.state, LEFT)
+                        else:
+                            key = (block, stop.state, RIGHT)
+                        grouped.setdefault(key, []).append((entry, stop))
 
-    def _dfs(self, P, k, phase, block, d_in, frontier, prefix):
-        self.prefixes += 1
-        closing = phase == k - 1
-        # run the current phase from every reachable content state and group
-        # the exits by the crossing descriptor they would realize
-        grouped: dict[tuple[int, int, int], list[tuple]] = {}
-        for entry in frontier:
-            for stop in self._stops(entry, d_in, block, P):
-                if stop.delta == LEFT and block == 1:
-                    # tape edge: only the accepting closer may use it
-                    if closing and stop.state == 1:
-                        key = (0, 1, LEFT)
-                    else:
-                        continue
-                elif stop.delta == LEFT:
-                    key = (block - 1, stop.state, LEFT)
-                else:
-                    key = (block, stop.state, RIGHT)
-                grouped.setdefault(key, []).append((entry, stop))
-
-        if closing:
-            hits = grouped.get((0, 1, LEFT))
-            if block != 1 or not hits:
-                return None
-            closer = Descriptor(phase=k, milestone=0, state=1, delta=LEFT)
-            best = min(hits, key=lambda es: (es[0].steps + es[1].steps,
-                                             es[0].choices + (es[1].choices,)))
-            entry, stop = best
-            final = entry.with_block(block, stop.content, stop.steps, stop.choices)
-            return (prefix + [closer], final)
-
-        for key in sorted(grouped):
-            milestone, state, delta = key
-            if milestone == 0:
-                continue  # interior phases may not use the tape edge
-            nxt = Descriptor(phase=phase + 1, milestone=milestone, state=state, delta=delta)
-            merged: dict[tuple, _Entry] = {}
-            for entry, stop in grouped[key]:
-                cand = entry.with_block(block, stop.content, stop.steps, stop.choices)
-                prev = merged.get(cand.contents)
-                if prev is None or (cand.steps, cand.choices) < (prev.steps, prev.choices):
-                    merged[cand.contents] = cand
-            found = self._dfs(P, k, phase + 1, block + delta, nxt,
-                              list(merged.values()), prefix + [nxt])
-            if found is not None:
-                return found
+                hits = grouped.pop((0, 1, LEFT), None)
+                if hits:
+                    k = phase + 1
+                    closer = Descriptor(phase=k, milestone=0, state=1, delta=LEFT)
+                    entry, stop = min(hits, key=lambda es: (es[0].steps + es[1].steps,
+                                                            es[0].choices + (es[1].choices,)))
+                    final = entry.with_block(block, stop.content, stop.steps, stop.choices)
+                    return k, prefix + [closer], final
+                if phase == kmax - 1:
+                    continue  # the last level only closes
+                for key in sorted(grouped):
+                    milestone, state, delta = key
+                    nxt = Descriptor(phase=phase + 1, milestone=milestone, state=state, delta=delta)
+                    merged: dict[tuple, _Entry] = {}
+                    for entry, stop in grouped[key]:
+                        cand = entry.with_block(block, stop.content, stop.steps, stop.choices)
+                        prev = merged.get(cand.contents)
+                        if prev is None or (cand.steps, cand.choices) < (prev.steps, prev.choices):
+                            merged[cand.contents] = cand
+                    children.append((block + delta, nxt, list(merged.values()), prefix + [nxt]))
+            if not children:
+                break
+            level = children
         return None
 
 
@@ -450,17 +444,16 @@ def simulate_mstar(m: Machine, w: str, n: int, budget: Optional[int] = None,
 
     search = _StorySearch(m, w, n, budget, node_cap)
     for P in range(1, n + 1):
-        for k in range(2, kmax + 1):
-            found = search.find(P, k)
-            if found is None:
-                continue
-            descriptors, entry = found
-            guess = _story_from_descriptors(n, P, k, descriptors)
-            result = verify_story(m, w, guess, budget, node_cap=node_cap)
-            assert result.accepted, "search found a story the verifier rejects"
-            assert result.phase_steps == entry.steps, \
-                "search and verifier disagree on the cheapest realization"
-            return replace(result, wall_stats=search.prefixes)
+        found = search.find(P, kmax)
+        if found is None:
+            continue
+        k, descriptors, entry = found
+        guess = _story_from_descriptors(n, P, k, descriptors)
+        result = verify_story(m, w, guess, budget, node_cap=node_cap)
+        assert result.accepted, "search found a story the verifier rejects"
+        assert result.phase_steps == entry.steps, \
+            "search and verifier disagree on the cheapest realization"
+        return replace(result, wall_stats=search.prefixes)
     return MStarResult(accepted=False, winning=None, sim_time=None, sim_space=None,
                        descriptor_constant=descriptor_constant(m),
                        wall_stats=search.prefixes, budget=budget)

@@ -198,6 +198,13 @@ def validate_normal_form(m: Machine) -> list[Violation]:
 # '#' starts a comment; blank lines are ignored.
 
 
+def _want_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MachineFormatError(f"{what} must be an integer, got {token!r}", lineno)
+
+
 def parse_machine(text: str) -> Machine:
     """Parse the line-oriented machine file format.
 
@@ -211,12 +218,6 @@ def parse_machine(text: str) -> Machine:
     rules: dict[tuple[int, str], DetRule] = {}
     branches: dict[int, tuple[int, ...]] = {}
     saw_anything = False
-
-    def want_int(token, lineno, what):
-        try:
-            return int(token)
-        except ValueError:
-            raise MachineFormatError(f"{what} must be an integer, got {token!r}", lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -236,7 +237,7 @@ def parse_machine(text: str) -> Machine:
                 raise MachineFormatError("expected: states <count>", lineno)
             if state_count is not None:
                 raise MachineFormatError("duplicate states line", lineno)
-            state_count = want_int(tokens[1], lineno, "state count")
+            state_count = _want_int(tokens[1], lineno, "state count")
             if state_count < 1:
                 raise MachineFormatError("state count must be positive", lineno)
         elif head == "alphabet":
@@ -252,10 +253,10 @@ def parse_machine(text: str) -> Machine:
                 raise MachineFormatError("rules must come after states and alphabet lines", lineno)
             if len(tokens) != 6:
                 raise MachineFormatError("expected: det <q> <s> move L|R <q'>  or  det <q> <s> write <s'> <q'>", lineno)
-            q = want_int(tokens[1], lineno, "state")
+            q = _want_int(tokens[1], lineno, "state")
             s = tokens[2]
             action, arg = tokens[3], tokens[4]
-            q2 = want_int(tokens[5], lineno, "next state")
+            q2 = _want_int(tokens[5], lineno, "next state")
             if (q, s) in rules:
                 raise MachineFormatError(f"duplicate rule for state {q} symbol {s!r}", lineno)
             if action == "move":
@@ -271,10 +272,10 @@ def parse_machine(text: str) -> Machine:
                 raise MachineFormatError("rules must come after states and alphabet lines", lineno)
             if len(tokens) < 4:
                 raise MachineFormatError("expected: nondet <q> <q1> <q2> [...] with at least two successors", lineno)
-            q = want_int(tokens[1], lineno, "state")
+            q = _want_int(tokens[1], lineno, "state")
             if q in branches:
                 raise MachineFormatError(f"duplicate nondet line for state {q}", lineno)
-            branches[q] = tuple(want_int(t, lineno, "successor state") for t in tokens[2:])
+            branches[q] = tuple(_want_int(t, lineno, "successor state") for t in tokens[2:])
         else:
             raise MachineFormatError(f"unknown directive {head!r}", lineno)
 
@@ -715,15 +716,18 @@ def parse_general_machine(text: str) -> GeneralMachine:
             if name is None:
                 raise MachineFormatError("expected: general <name>", lineno)
         elif head == "states":
-            state_count = int(tokens[1])
+            if len(tokens) != 2:
+                raise MachineFormatError("expected: states <count>", lineno)
+            state_count = _want_int(tokens[1], lineno, "state count")
         elif head == "alphabet":
             alphabet = tuple(tokens[1:])
         elif head == "accept":
-            accepting = frozenset(int(t) for t in tokens[1:])
+            accepting = frozenset(_want_int(t, lineno, "accepting state") for t in tokens[1:])
         elif head == "rule":
             if len(tokens) != 6:
                 raise MachineFormatError("expected: rule <q> <s> <s'> L|R|S <q'>", lineno)
-            q, s, w_, d, q2 = int(tokens[1]), tokens[2], tokens[3], tokens[4], int(tokens[5])
+            s, w_, d = tokens[2:5]
+            q, q2 = _want_int(tokens[1], lineno, "state"), _want_int(tokens[5], lineno, "next state")
             if d not in ("L", "R", "S"):
                 raise MachineFormatError("direction must be L, R or S", lineno)
             move = {"L": LEFT, "R": RIGHT, "S": STAY}[d]

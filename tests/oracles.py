@@ -3,11 +3,14 @@
 These deliberately avoid the configuration search, the phase simulator
 and the block checker: runs and block feasibility are decided by running
 the machine on absolute tape cells with :func:`tmlab.step`, enumerating
-every nondeterministic choice sequence.
+every nondeterministic choice sequence.  The one exception is
+:func:`first_verified_story`, which checks the story *search* against
+the story verifier it trusts.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -15,14 +18,21 @@ from typing import Optional
 from tmlab import (
     BLANK,
     Configuration,
+    Descriptor,
     DetRule,
     Halt,
+    History,
     LEFT,
     Machine,
+    MilestoneHistory,
+    MStarResult,
+    OPENER,
     Partition,
     RIGHT,
+    StoryGuess,
     step,
     validate_normal_form,
+    verify_story,
 )
 
 
@@ -141,6 +151,49 @@ def block_story_feasible(m: Machine, partition: Partition, j: int, pairs,
         return False
 
     return rec(0, x0, 0)
+
+
+def _story_shapes(m: Machine, k: int) -> list[list[Descriptor]]:
+    """Every well-formed descriptor sequence of phases ``2..k``, in lex order.
+
+    Phase ``p`` leaves its block through a guessed state and side; the
+    walk must stay off the tape edge until phase ``k``, whose accepting
+    closer leaves block 1 leftward in state 1.
+    """
+    moves = [(state, delta) for state in range(m.state_count) for delta in (LEFT, RIGHT)]
+    shapes = []
+    for walk in itertools.product(moves, repeat=k - 2):
+        block, descriptors = 1, []
+        for phase, (state, delta) in enumerate(walk, start=2):
+            milestone = block if delta == RIGHT else block - 1
+            block += delta
+            descriptors.append(Descriptor(phase=phase, milestone=milestone, state=state, delta=delta))
+        if block == 1 and all(d.milestone >= 1 for d in descriptors):
+            shapes.append(descriptors + [Descriptor(phase=k, milestone=0, state=1, delta=LEFT)])
+    return sorted(shapes, key=lambda ds: [d.astuple() for d in ds])
+
+
+def first_verified_story(m: Machine, w: str, n: int, kmax: int) -> Optional[MStarResult]:
+    """The first story :func:`tmlab.verify_story` accepts, without any pruning.
+
+    Tries every well-formed story in the story search's order: first-block
+    lengths ``P`` ascending, then phase counts ``k = 2..kmax``, then
+    descriptor sequences in lexicographic order.
+    """
+    for P in range(1, n + 1):
+        for k in range(2, kmax + 1):
+            for descriptors in _story_shapes(m, k):
+                r = 1 + max((d.milestone for d in descriptors if d.delta == RIGHT), default=0)
+                milestones = tuple(
+                    MilestoneHistory(milestone=j, entries=tuple(
+                        ([OPENER] if j == 0 else []) + [d for d in descriptors if d.milestone == j]))
+                    for j in range(r + 2))
+                story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones,
+                                guessed=True)
+                result = verify_story(m, w, StoryGuess(n=n, P=P, r=r, k=k, story=story))
+                if result.accepted:
+                    return result
+    return None
 
 
 def random_machine(rng: random.Random, max_states: int = 7) -> Machine:

@@ -159,6 +159,13 @@ def test_crossings_zero_scale_exits_64(machine_file, capsys):
     assert code == 64 and "-n" in err and out == ""
 
 
+def test_crossings_scale_below_input_exits_64(machine_file, capsys):
+    code, out, err = run_cli(capsys, "crossings", machine_file("sweep_right"),
+                             "--input", "abababab", "-n", "5", "--json")
+    assert code == 64 and out == ""
+    assert "scale -n 5 is below the input length 8" in err
+
+
 def test_crossings_confined_run_all_twos(machine_file, capsys):
     code, out, _ = run_cli(capsys, "crossings", machine_file("always_accept"),
                            "--input", "ab", "-n", "2", "--json")
@@ -276,3 +283,11 @@ def test_normalize_outputs_valid_machine(tmp_path, capsys):
 def test_normalize_rejects_normal_format_file(machine_file, capsys):
     code, _, err = run_cli(capsys, "normalize", machine_file("palindrome"))
     assert code == 65
+
+
+@pytest.mark.parametrize("line", ["states x", "accept z", "rule x a a R 1", "states"])
+def test_normalize_malformed_general_line_exits_65(tmp_path, capsys, line):
+    path = tmp_path / "bad.gtm"
+    path.write_text(f"general g\nstates 2\nalphabet 0 a\naccept 1\n{line}\n")
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 65 and out == "" and "line 5" in err

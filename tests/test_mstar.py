@@ -1,11 +1,16 @@
 """Story guessing, verification, and the implication chain."""
 
+import dataclasses
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlab import (
     Descriptor,
+    DetRule,
     History,
     InvalidStoryError,
     LEFT,
@@ -18,6 +23,7 @@ from tmlab import (
     descriptor_constant,
     extract_history,
     implication_chain,
+    parse_machine,
     partition_for_trace,
     run_direct,
     run_with_choices,
@@ -25,6 +31,8 @@ from tmlab import (
     story_from_history,
     verify_story,
 )
+
+from oracles import first_verified_story, random_machine
 
 
 def true_story(m, w, n, P):
@@ -228,6 +236,62 @@ def test_mstar_wall_stats_counts_search_effort(corpus):
     reject = simulate_mstar(corpus["palindrome"], "ab", 2)
     assert accept.wall_stats >= 1
     assert reject.wall_stats >= accept.wall_stats  # exhaustion examines more prefixes
+
+
+def test_mstar_examines_each_prefix_once_per_first_block_length(corpus):
+    # a deterministic machine realizes at most one prefix per phase, so an
+    # exhausted search examines at most one prefix per phase per P
+    half = "abbabaababbabaab"
+    w = half + half[::-1]
+    w = w[:8] + "b" + w[9:]  # no longer a palindrome
+    n = kmax = 32
+    result = simulate_mstar(corpus["palindrome"], w, n)
+    assert not result.accepted
+    assert result.wall_stats <= n * (kmax - 1)
+
+
+THREE_WAY_GUESS = """\
+states 9
+alphabet 0 a
+nondet 0 2 3 7
+det 2 a move R 4
+det 3 a move R 5
+det 7 a move R 8
+det 4 0 move L 6
+det 5 0 move L 1
+det 8 0 move L 1
+det 1 a move L 1
+"""
+
+
+def test_mstar_winner_is_least_closing_prefix_of_the_last_phase():
+    # three prefixes reach phase 3 (k = max(2, n) = 4), in the order of the
+    # state they cross into block 2 with: 4 halts in block 1, 5 and 8 close
+    m = parse_machine(THREE_WAY_GUESS)
+    result = simulate_mstar(m, "a", 4)
+    assert result.accepted and (result.winning.P, result.winning.k) == (1, 4)
+    assert [d.astuple() for d in result.winning.story.milestone(1).entries] == [
+        (2, 1, 5, RIGHT), (3, 1, 1, LEFT)]
+    assert result.witness_choices == ((1,), (), ())
+    assert result.winning == first_verified_story(m, "a", 4, kmax=4).winning
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=200, deadline=None)
+def test_mstar_matches_first_verified_story(seed):
+    rng = random.Random(seed)
+    m = random_machine(rng, max_states=4)
+    # state 1 sweeps left, so reaching it accepts: about a third accept
+    m = dataclasses.replace(m, rules={**m.rules, **{
+        (1, s): DetRule(next_state=1, move=LEFT) for s in m.alphabet}})
+    w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+    n = max(len(w), 2)
+    want = first_verified_story(m, w, n, kmax=n + 2)
+    got = simulate_mstar(m, w, n, max_phases=n + 2)
+    assert got.accepted == (want is not None)
+    if want is not None:
+        assert (got.winning, got.phase_steps, got.witness_choices) == (
+            want.winning, want.phase_steps, want.witness_choices)
 
 
 def test_mstar_verify_round_trip(corpus):
