@@ -10,11 +10,16 @@ Subcommands::
 
 Exit codes: 0 accepted/valid, 1 rejected, 2 resource cap exceeded,
 64 bad usage, 65 invalid machine/story data, 66 unreadable input file.
+
+``main(argv)`` may be called repeatedly in one process.  Its argument parser
+is built on the first call and reused by every later one; importing this
+module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -147,11 +152,11 @@ def cmd_crossings(args) -> int:
     lemma = check_phase_lemma(result.witness, n)
     history = extract_history(result.witness, partition_for_trace(result.witness, lemma.best_P, n))
     story = story_to_dict(story_from_history(history))
+    lemma_dict = lemma_to_dict(lemma)
     report = RunReport(machine=machine.name, input=args.input, mode="crossings",
                        verdict="accepted", n=n,
                        resources={"time": result.usage.time, "space": result.usage.space},
-                       k_table=lemma_to_dict(lemma)["k_table"],
-                       lemma=lemma_to_dict(lemma), story=story)
+                       k_table=lemma_dict["k_table"], lemma=lemma_dict, story=story)
     lines = [f"accepted (time {result.usage.time}); phase counts by first-block length:"]
     lines += [f"  P={P}: k={k}" for P, k in report.k_table]
     lines.append(f"best P = {lemma.best_P}, holds (some k <= n): {lemma.holds}")
@@ -239,6 +244,7 @@ _NONNEGATIVE = _count(0)
 _POSITIVE = _count(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tmlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -140,12 +140,11 @@ class History:
     """Milestone histories ``H_0 .. H_{r+1}`` under one partition.
 
     The same shape serves as a *story* (a guessed history); nothing in the
-    data distinguishes the two roles beyond ``guessed``.
+    data distinguishes the two roles.
     """
 
     partition: Partition
     milestones: tuple[MilestoneHistory, ...]
-    guessed: bool = False
 
     def milestone(self, j: int) -> MilestoneHistory:
         return self.milestones[j]

@@ -159,7 +159,7 @@ def story_from_history(history: History) -> StoryGuess:
     milestones = tuple(
         MilestoneHistory(milestone=j, entries=history.milestones[j].entries if j < len(history.milestones) else ())
         for j in range(r + 2))
-    story = History(partition=Partition(P=part.P, n=n, r=r), milestones=milestones, guessed=True)
+    story = History(partition=Partition(P=part.P, n=n, r=r), milestones=milestones)
     return StoryGuess(n=n, P=part.P, r=r, k=k, story=story)
 
 
@@ -416,7 +416,7 @@ def _story_from_descriptors(n: int, P: int, k: int,
         per[d.milestone].append(d)
     milestones = tuple(MilestoneHistory(milestone=j, entries=tuple(per[j]))
                        for j in range(r + 2))
-    story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones, guessed=True)
+    story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones)
     return StoryGuess(n=n, P=P, r=r, k=k, story=story)
 
 

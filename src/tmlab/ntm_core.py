@@ -703,7 +703,8 @@ def parse_general_machine(text: str) -> GeneralMachine:
     state_count = None
     alphabet = None
     accepting: Optional[frozenset[int]] = None
-    rules: dict[tuple[int, str], list[GeneralRule]] = {}
+    accept_line = None
+    rule_lines: list[tuple[int, int, str, GeneralRule]] = []  # (line, q, s, rule)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -719,10 +720,13 @@ def parse_general_machine(text: str) -> GeneralMachine:
             if len(tokens) != 2:
                 raise MachineFormatError("expected: states <count>", lineno)
             state_count = _want_int(tokens[1], lineno, "state count")
+            if state_count < 1:
+                raise MachineFormatError("state count must be positive", lineno)
         elif head == "alphabet":
             alphabet = tuple(tokens[1:])
         elif head == "accept":
             accepting = frozenset(_want_int(t, lineno, "accepting state") for t in tokens[1:])
+            accept_line = lineno
         elif head == "rule":
             if len(tokens) != 6:
                 raise MachineFormatError("expected: rule <q> <s> <s'> L|R|S <q'>", lineno)
@@ -731,7 +735,7 @@ def parse_general_machine(text: str) -> GeneralMachine:
             if d not in ("L", "R", "S"):
                 raise MachineFormatError("direction must be L, R or S", lineno)
             move = {"L": LEFT, "R": RIGHT, "S": STAY}[d]
-            rules.setdefault((q, s), []).append(GeneralRule(write=w_, move=move, next_state=q2))
+            rule_lines.append((lineno, q, s, GeneralRule(write=w_, move=move, next_state=q2)))
         else:
             raise MachineFormatError(f"unknown directive {head!r}", lineno)
 
@@ -741,19 +745,22 @@ def parse_general_machine(text: str) -> GeneralMachine:
         raise MachineFormatError(f"alphabet must include the blank symbol {BLANK!r}", 1)
     if any(len(s) != 1 for s in alphabet):
         raise MachineFormatError("alphabet symbols must be single characters", 1)
-    g = GeneralMachine(name=name or "general", state_count=state_count, alphabet=alphabet,
-                       accepting=accepting, rules={k: tuple(v) for k, v in rules.items()})
-    for (q, s), alts in g.rules.items():
+    for q in sorted(accepting):
         if not (0 <= q < state_count):
-            raise MachineFormatError(f"rule state {q} out of range")
+            raise MachineFormatError(f"accepting state {q} out of range", accept_line)
+    rules: dict[tuple[int, str], list[GeneralRule]] = {}
+    for lineno, q, s, r in rule_lines:
+        if not (0 <= q < state_count):
+            raise MachineFormatError(f"rule state {q} out of range", lineno)
         if s not in alphabet:
-            raise MachineFormatError(f"rule symbol {s!r} not in alphabet")
-        for r in alts:
-            if r.write not in alphabet:
-                raise MachineFormatError(f"written symbol {r.write!r} not in alphabet")
-            if not (0 <= r.next_state < state_count):
-                raise MachineFormatError(f"next state {r.next_state} out of range")
-    return g
+            raise MachineFormatError(f"rule symbol {s!r} not in alphabet", lineno)
+        if r.write not in alphabet:
+            raise MachineFormatError(f"written symbol {r.write!r} not in alphabet", lineno)
+        if not (0 <= r.next_state < state_count):
+            raise MachineFormatError(f"next state {r.next_state} out of range", lineno)
+        rules.setdefault((q, s), []).append(r)
+    return GeneralMachine(name=name or "general", state_count=state_count, alphabet=alphabet,
+                          accepting=accepting, rules={k: tuple(v) for k, v in rules.items()})
 
 
 def run_direct_general(g: GeneralMachine, w: str, max_time: int,

@@ -50,8 +50,7 @@ def story_from_dict(data: Any) -> StoryGuess:
     except (KeyError, TypeError, ValueError) as err:
         raise StoryFormatError(f"malformed story file: {err}") from None
     try:
-        story = History(partition=Partition(P=P, n=n, r=r),
-                        milestones=tuple(milestones), guessed=True)
+        story = History(partition=Partition(P=P, n=n, r=r), milestones=tuple(milestones))
     except ValueError as err:
         raise StoryFormatError(f"malformed story file: {err}") from None
     return StoryGuess(n=n, P=P, r=r, k=k, story=story)

@@ -188,8 +188,7 @@ def first_verified_story(m: Machine, w: str, n: int, kmax: int) -> Optional[MSta
                     MilestoneHistory(milestone=j, entries=tuple(
                         ([OPENER] if j == 0 else []) + [d for d in descriptors if d.milestone == j]))
                     for j in range(r + 2))
-                story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones,
-                                guessed=True)
+                story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones)
                 result = verify_story(m, w, StoryGuess(n=n, P=P, r=r, k=k, story=story))
                 if result.accepted:
                     return result

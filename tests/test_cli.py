@@ -1,6 +1,10 @@
 """Command-line interface and JSON reports."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -285,9 +289,66 @@ def test_normalize_rejects_normal_format_file(machine_file, capsys):
     assert code == 65
 
 
-@pytest.mark.parametrize("line", ["states x", "accept z", "rule x a a R 1", "states"])
+@pytest.mark.parametrize("line", ["states x", "accept z", "rule x a a R 1", "states",
+                                  "states 0", "states -2", "accept 7", "rule 2 a a R 1",
+                                  "rule 0 b a R 1", "rule 0 a b R 1", "rule 0 a a R 9"])
 def test_normalize_malformed_general_line_exits_65(tmp_path, capsys, line):
     path = tmp_path / "bad.gtm"
     path.write_text(f"general g\nstates 2\nalphabet 0 a\naccept 1\n{line}\n")
     code, out, err = run_cli(capsys, "normalize", str(path))
     assert code == 65 and out == "" and "line 5" in err
+
+
+# ---------------------------------------------------------------------------
+# repeated in-process calls
+
+
+def test_repeated_mstar_json_is_byte_identical(machine_file, capsys):
+    argv = ["mstar", machine_file("guesser"), "--input", "aaaa", "-n", "4", "--json"]
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert run_cli(capsys, *argv) == first
+
+
+def test_usage_error_and_help_leave_the_next_answer_unchanged(machine_file, capsys):
+    argv = ["run", machine_file("palindrome"), "--input", "aba", "--max-steps", "40", "--json"]
+    first = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "run", argv[1])
+    assert code == 64 and out == "" and "max-steps" in err
+    code, out, _ = run_cli(capsys, "run", "--help")
+    assert code == 0 and "--max-steps" in out
+    assert run_cli(capsys, *argv) == first
+
+
+def test_second_main_call_builds_no_parser(machine_file, capsys, monkeypatch):
+    argv = ["validate", machine_file("palindrome")]
+    run_cli(capsys, *argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import tmlab.cli\n"
+        "print(len(built))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "0\n"

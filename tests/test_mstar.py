@@ -138,7 +138,7 @@ def chain_guess(r: int) -> StoryGuess:
     # walk right to block r+... keep it simple: r crossings out, then close;
     # not realizable by any machine, but structurally fine for chain math
     milestones = tuple(MilestoneHistory(j, tuple(per.get(j, ()))) for j in range(r + 2))
-    story = History(Partition(P=1, n=max(2, r + 1), r=r), milestones, guessed=True)
+    story = History(Partition(P=1, n=max(2, r + 1), r=r), milestones)
     return StoryGuess(n=max(2, r + 1), P=1, r=r, k=k, story=story)
 
 
