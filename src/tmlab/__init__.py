@@ -57,7 +57,6 @@ from .crossing import (
     extract_history,
     merge_by_phase,
     partition_for_trace,
-    phase_count,
     phase_records,
     split_history,
 )

@@ -356,18 +356,6 @@ def extract_history(trace: Trace, partition: Partition) -> History:
     return History(partition=partition, milestones=milestones)
 
 
-def phase_count(trace: Trace, n: int, P: int) -> int:
-    """Phases of the trace under the partition ``(P, n)``.
-
-    Equals 1 plus the number of milestone crossings, with the final
-    left-edge exit (if any) counted as starting the last phase.
-    """
-    partition = partition_for_trace(trace, P=P, n=n)
-    records = phase_records(trace, partition)
-    last = records[-1]
-    return last.phase + (1 if last.left is not None and last.left.milestone == 0 else 0)
-
-
 @dataclass(frozen=True)
 class LemmaReport:
     """Per-partition phase counts for one trace at scale ``n``."""
@@ -385,22 +373,39 @@ class LemmaReport:
 def check_phase_lemma(trace: Trace, n: int) -> LemmaReport:
     """Tabulate ``k(P)`` for every ``P <= n`` and check the phase bound.
 
-    Requires ``trace.usage.time <= n**2``.  ``holds`` reports whether some
-    partition sees at most ``n`` phases.  ``total_crossings`` counts every
-    milestone crossing over all ``n`` partitions, computed independently
-    from the raw steps: each completed move crosses the milestone of
-    exactly one partition, and a final left-edge exit counts once per
-    partition.  ``sum == total_crossings + n`` (one opening phase per
-    partition) then cross-checks the replay-based table against the raw
-    move count.
+    Requires ``trace.usage.time <= n**2``.  One pass over the moves fills
+    the whole table: a completed move across the boundary after cell
+    ``b`` crosses a milestone of exactly one partition, ``P = (b - 1) mod
+    n + 1``, and a final left-edge attempt (accepting or ``LEFT_EDGE``)
+    closes milestone 0 under every partition.  So ``k(P) = 1 +
+    crossings(P) + edge_exit``, with no replay and no block snapshot.
+    ``holds`` reports whether some partition sees at most ``n`` phases.
+
+    ``total_crossings`` counts every milestone crossing over all ``n``
+    partitions from the raw move count and the trace's recorded halt
+    reason.  ``sum == total_crossings + n`` (one opening phase per
+    partition) then checks that each completed move landed in exactly one
+    partition's count, and that the edge exit seen among the steps
+    matches the halt the trace records.
     """
     if trace.usage.time > n * n:
         raise ValueError(f"trace takes {trace.usage.time} steps, beyond the n^2 = {n * n} bound")
-    per_P = {P: phase_count(trace, n=n, P=P) for P in range(1, n + 1)}
+    crossed = [0] * n
+    edge_seen = 0
+    moves = 0
+    for ts in trace.steps:
+        rule = ts.action
+        if isinstance(rule, int) or rule.move is None:
+            continue
+        moves += 1
+        head = ts.before.head
+        if rule.move == LEFT and head == 1:
+            edge_seen = 1
+        else:
+            crossed[(min(head, head + rule.move) - 1) % n] += 1
+    per_P = {P: 1 + crossed[P - 1] + edge_seen for P in range(1, n + 1)}
     total = sum(per_P.values())
     best_P = min(per_P, key=lambda P: (per_P[P], P))
-    moves = sum(1 for ts in trace.steps
-                if isinstance(ts.action, DetRule) and ts.action.move is not None)
     edge_exit = trace.halt is not None and trace.halt.reason is not HaltReason.NO_RULE
     if edge_exit:
         moves -= 1  # the halting attempt completes no move

@@ -713,18 +713,30 @@ def parse_general_machine(text: str) -> GeneralMachine:
         tokens = line.split()
         head = tokens[0]
         if head == "general":
-            name = tokens[1] if len(tokens) == 2 else None
-            if name is None:
+            if len(tokens) != 2:
                 raise MachineFormatError("expected: general <name>", lineno)
+            if name is not None:
+                raise MachineFormatError("duplicate general line", lineno)
+            name = tokens[1]
         elif head == "states":
             if len(tokens) != 2:
                 raise MachineFormatError("expected: states <count>", lineno)
+            if state_count is not None:
+                raise MachineFormatError("duplicate states line", lineno)
             state_count = _want_int(tokens[1], lineno, "state count")
             if state_count < 1:
                 raise MachineFormatError("state count must be positive", lineno)
         elif head == "alphabet":
+            if alphabet is not None:
+                raise MachineFormatError("duplicate alphabet line", lineno)
             alphabet = tuple(tokens[1:])
+            if BLANK not in alphabet:
+                raise MachineFormatError(f"alphabet must include the blank symbol {BLANK!r}", lineno)
+            if any(len(s) != 1 for s in alphabet):
+                raise MachineFormatError("alphabet symbols must be single characters", lineno)
         elif head == "accept":
+            if accepting is not None:
+                raise MachineFormatError("duplicate accept line", lineno)
             accepting = frozenset(_want_int(t, lineno, "accepting state") for t in tokens[1:])
             accept_line = lineno
         elif head == "rule":
@@ -739,12 +751,9 @@ def parse_general_machine(text: str) -> GeneralMachine:
         else:
             raise MachineFormatError(f"unknown directive {head!r}", lineno)
 
-    if state_count is None or alphabet is None or accepting is None:
-        raise MachineFormatError("general machine needs states, alphabet and accept lines", 1)
-    if BLANK not in alphabet:
-        raise MachineFormatError(f"alphabet must include the blank symbol {BLANK!r}", 1)
-    if any(len(s) != 1 for s in alphabet):
-        raise MachineFormatError("alphabet symbols must be single characters", 1)
+    for what, value in (("states", state_count), ("alphabet", alphabet), ("accept", accepting)):
+        if value is None:
+            raise MachineFormatError(f"missing {what} line", 1)
     for q in sorted(accepting):
         if not (0 <= q < state_count):
             raise MachineFormatError(f"accepting state {q} out of range", accept_line)

@@ -3,7 +3,9 @@
 These deliberately avoid the configuration search, the phase simulator
 and the block checker: runs and block feasibility are decided by running
 the machine on absolute tape cells with :func:`tmlab.step`, enumerating
-every nondeterministic choice sequence.  The one exception is
+every nondeterministic choice sequence.  Phase counts come from replaying
+a trace against each partition, never from the one-pass table of
+:func:`tmlab.check_phase_lemma` they check.  The one exception is
 :func:`first_verified_story`, which checks the story *search* against
 the story verifier it trusts.
 """
@@ -21,6 +23,7 @@ from tmlab import (
     Descriptor,
     DetRule,
     Halt,
+    HaltReason,
     History,
     LEFT,
     Machine,
@@ -30,6 +33,9 @@ from tmlab import (
     Partition,
     RIGHT,
     StoryGuess,
+    Trace,
+    partition_for_trace,
+    phase_records,
     step,
     validate_normal_form,
     verify_story,
@@ -193,6 +199,36 @@ def first_verified_story(m: Machine, w: str, n: int, kmax: int) -> Optional[MSta
                 if result.accepted:
                     return result
     return None
+
+
+def replay_phase_count(trace: Trace, n: int, P: int) -> int:
+    """Phases of the trace under the partition ``(P, n)``, by replay.
+
+    Replays the whole trace against the partition and reads the last
+    phase number; a final left-edge exit starts one more phase.
+    """
+    records = phase_records(trace, partition_for_trace(trace, P=P, n=n))
+    last = records[-1]
+    return last.phase + (1 if last.left is not None and last.left.milestone == 0 else 0)
+
+
+def replay_phase_table(trace: Trace, n: int) -> dict[int, int]:
+    """``k(P)`` for every ``P <= n``, one full replay per partition."""
+    return {P: replay_phase_count(trace, n, P) for P in range(1, n + 1)}
+
+
+def crossings_off_heads(trace: Trace, n: int) -> int:
+    """Milestone crossings summed over all ``n`` partitions.
+
+    Counted straight off the head positions: every change of head cell
+    is a completed move, which crosses one partition's milestone, and a
+    left-edge exit closes milestone 0 under each of the ``n`` partitions.
+    """
+    heads = [ts.before.head for ts in trace.steps] + [trace.final.head]
+    moves = sum(1 for a, b in zip(heads, heads[1:]) if a != b)
+    edge_exit = (trace.halt is not None
+                 and trace.halt.reason in (HaltReason.ACCEPTING_EXIT, HaltReason.LEFT_EDGE))
+    return moves + (n if edge_exit else 0)
 
 
 def random_machine(rng: random.Random, max_states: int = 7) -> Machine:

@@ -178,6 +178,27 @@ def test_crossings_confined_run_all_twos(machine_file, capsys):
     assert report.k_table == [[1, 2], [2, 2]]
 
 
+def test_crossings_replays_the_trace_once(machine_file, capsys, monkeypatch):
+    # the k(P) table comes from one pass over the moves; only the best
+    # partition's history is replayed
+    from tmlab import crossing
+
+    replays = []
+    replay = crossing._replay
+
+    def counted(trace, partition):
+        replays.append(partition.P)
+        return replay(trace, partition)
+
+    monkeypatch.setattr(crossing, "_replay", counted)
+    half = "abbabaaababbbaab"
+    code, out, _ = run_cli(capsys, "crossings", machine_file("palindrome"),
+                           "--input", half + half[::-1], "-n", "32", "--json")
+    report = report_from_json(out)
+    assert code == 0 and report.verdict == "accepted"
+    assert replays == [report.lemma["best_P"]]
+
+
 # ---------------------------------------------------------------------------
 # mstar
 
@@ -297,6 +318,44 @@ def test_normalize_malformed_general_line_exits_65(tmp_path, capsys, line):
     path.write_text(f"general g\nstates 2\nalphabet 0 a\naccept 1\n{line}\n")
     code, out, err = run_cli(capsys, "normalize", str(path))
     assert code == 65 and out == "" and "line 5" in err
+
+
+def test_normalize_repeated_states_line_exits_65(tmp_path, capsys):
+    # a later states line must not silently replace the first one
+    path = tmp_path / "bad.gtm"
+    path.write_text("general g\nstates 2\nalphabet 0 a\naccept 1\nrule 0 a a R 1\nstates 3\n")
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 65 and out == "" and "line 6: duplicate states line" in err
+
+
+@pytest.mark.parametrize("line", ["general h", "states 2", "alphabet 0 a", "accept 1"])
+def test_normalize_repeated_header_line_exits_65(tmp_path, capsys, line):
+    path = tmp_path / "bad.gtm"
+    path.write_text(f"general g\nstates 2\nalphabet 0 a\naccept 1\n{line}\n")
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    head = line.split()[0]
+    assert code == 65 and out == "" and f"line 5: duplicate {head} line" in err
+
+
+@pytest.mark.parametrize("alphabet, message", [
+    ("a", "alphabet must include the blank symbol"),
+    ("0 xy", "alphabet symbols must be single characters"),
+])
+def test_normalize_bad_alphabet_reports_its_own_line(tmp_path, capsys, alphabet, message):
+    path = tmp_path / "bad.gtm"
+    path.write_text(f"general g\nstates 2\nalphabet {alphabet}\naccept 1\n")
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 65 and out == "" and f"line 3: {message}" in err
+
+
+@pytest.mark.parametrize("missing", ["states", "alphabet", "accept"])
+def test_normalize_missing_header_line_is_named(tmp_path, capsys, missing):
+    lines = {"states": "states 2", "alphabet": "alphabet 0 a", "accept": "accept 1"}
+    del lines[missing]
+    path = tmp_path / "bad.gtm"
+    path.write_text("general g\n" + "\n".join(lines.values()) + "\n")
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 65 and out == "" and f"missing {missing} line" in err
 
 
 # ---------------------------------------------------------------------------

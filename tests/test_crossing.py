@@ -19,11 +19,13 @@ from tmlab import (
     merge_by_phase,
     parse_machine,
     partition_for_trace,
-    phase_count,
     phase_records,
     run_direct,
+    run_with_choices,
     split_history,
 )
+
+from oracles import crossings_off_heads, replay_phase_count, replay_phase_table
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +156,6 @@ def test_partition_for_trace_covers(zigzag_witness):
 
 
 def test_extracted_histories_validate_for_rejecting_runs(corpus):
-    from tmlab import run_with_choices
     m = corpus["palindrome"]
     tr = run_with_choices(m, "ab", (), 60)  # halts rejecting
     for P in (1, 2):
@@ -164,31 +165,35 @@ def test_extracted_histories_validate_for_rejecting_runs(corpus):
 
 # ---------------------------------------------------------------------------
 # phase counting and the lemma table
+#
+# ``replay_phase_count`` is the replay-based oracle; ``check_phase_lemma``
+# must agree with it wherever the trace fits the n^2 bound.
 
 
 def test_phase_count_zigzag_is_ten(zigzag_witness):
-    assert phase_count(zigzag_witness, n=2, P=2) == 10
+    assert replay_phase_count(zigzag_witness, n=2, P=2) == 10
 
 
 def test_phase_count_confined_accepting_run(corpus):
     r = run_direct(corpus["always_accept"], "", 4)
     for P in (1, 2, 3):
-        assert phase_count(r.witness, n=3, P=P) == 2
+        assert replay_phase_count(r.witness, n=3, P=P) == 2
+    assert check_phase_lemma(r.witness, 3).per_P == {1: 2, 2: 2, 3: 2}
 
 
 def test_phase_count_no_crossing_rejecting_run():
     m = parse_machine("states 2\nalphabet 0\ndet 0 0 write 0 0\n")  # spins in place
-    from tmlab import run_with_choices
     tr = run_with_choices(m, "", (), 5)
     for P in (1, 2, 3):
-        assert phase_count(tr, n=3, P=P) == 1
+        assert replay_phase_count(tr, n=3, P=P) == 1
+    assert check_phase_lemma(tr, 3).per_P == {1: 1, 2: 1, 3: 1}
 
 
 def test_zigzag_sum_counts_moves_once_per_partition(zigzag_witness):
     # every completed move crosses the milestone of exactly one partition,
     # and the accepting exit counts once per partition
     n = 3
-    total_k = sum(phase_count(zigzag_witness, n=n, P=P) for P in range(1, n + 1))
+    total_k = sum(replay_phase_count(zigzag_witness, n=n, P=P) for P in range(1, n + 1))
     completed_moves = 14
     assert total_k == (completed_moves + n) + n
 
@@ -208,7 +213,7 @@ def test_phase_count_table_against_head_positions(corpus):
             if a != b and boundary >= P and (boundary - P) % n == 0:
                 crossings += 1
         expected = 1 + crossings + 1  # opener + crossings + accepting exit
-        assert phase_count(witness, n=n, P=P) == expected
+        assert replay_phase_count(witness, n=n, P=P) == expected
 
 
 def test_check_phase_lemma_table(corpus):
@@ -218,6 +223,33 @@ def test_check_phase_lemma_table(corpus):
     assert rep.per_P == {1: 4, 2: 4, 3: 4, 4: 4}
     assert rep.holds and rep.best_P == 1
     assert rep.sum == rep.total_crossings + 4
+    assert rep.sum_identity_ok
+
+
+# one machine per way a trace can end: on the input a^(n-1) each walks
+# right over the input first, so every end comes after milestone crossings
+_TRACE_ENDS = {
+    # back to cell 1 in state 1, then the accepting exit
+    "accepting-exit": "det 0 a move R 0\ndet 0 0 move L 1\ndet 1 a move L 1\n",
+    # back to cell 1 in state 2, then a rejecting left-edge attempt
+    "left-edge": "det 0 a move R 0\ndet 0 0 move L 2\ndet 2 a move L 2\n",
+    # no rule for the first blank
+    "no-rule": "det 0 a move R 0\n",
+    # walks right until the step bound
+    "time-bound": "det 0 a move R 0\ndet 0 0 move R 0\n",
+}
+
+
+@pytest.mark.parametrize("end", sorted(_TRACE_ENDS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_pass_table_matches_replay_at_every_trace_end(end, n):
+    m = parse_machine("states 3\nalphabet 0 a\n" + _TRACE_ENDS[end])
+    tr = run_with_choices(m, "a" * (n - 1), (), n * n)
+    assert (tr.halt.reason.value if tr.halt is not None else "time-bound") == end
+    rep = check_phase_lemma(tr, n)
+    assert rep.total_crossings > 0
+    assert rep.per_P == replay_phase_table(tr, n)
+    assert rep.total_crossings == crossings_off_heads(tr, n)
     assert rep.sum_identity_ok
 
 

@@ -10,6 +10,7 @@ from tmlab import (
     LEFT,
     MilestoneHistory,
     RIGHT,
+    check_phase_lemma,
     extract_history,
     merge_by_phase,
     partition_for_trace,
@@ -18,7 +19,7 @@ from tmlab import (
     split_history,
 )
 
-from oracles import random_machine
+from oracles import crossings_off_heads, random_machine, replay_phase_count, replay_phase_table
 
 
 def random_run(seed: int, max_time: int = 18):
@@ -81,15 +82,30 @@ def test_crossings_summed_over_partitions_at_most_moves(seed):
     # each completed move crosses one boundary, and each boundary is a
     # milestone of exactly one partition, so the crossing totals of all
     # partitions cannot exceed the move count
-    from tmlab import DetRule, phase_count
+    from tmlab import DetRule
 
     rng, m, w, trace = random_run(seed)
     n = rng.randint(2, 5)
     moves = sum(1 for ts in trace.steps
                 if isinstance(ts.action, DetRule) and ts.action.move is not None)
-    total = sum(phase_count(trace, n=n, P=P) for P in range(1, n + 1))
+    total = sum(replay_phase_count(trace, n=n, P=P) for P in range(1, n + 1))
     # subtract the opener phase and any final exit, counted once per partition
     assert total - n * (1 + _has_edge_exit(trace)) <= moves
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_lemma_table_matches_replay_oracle(seed, n):
+    # traces run to the n^2 bound or stop earlier by accepting, by a
+    # rejecting left-edge attempt or with no applicable rule
+    _rng, _m, _w, trace = random_run(seed, max_time=n * n)
+    rep = check_phase_lemma(trace, n)
+    table = replay_phase_table(trace, n)
+    assert rep.per_P == table
+    assert rep.sum == sum(table.values())
+    assert rep.best_P == min(table, key=lambda P: (table[P], P))
+    assert rep.total_crossings == crossings_off_heads(trace, n)
+    assert rep.sum_identity_ok
 
 
 def _has_edge_exit(trace):
