@@ -15,7 +15,6 @@ from .ntm_core import (
     RIGHT,
     Configuration,
     DetRule,
-    DirectResult,
     GeneralMachine,
     GeneralRule,
     Halt,
@@ -23,13 +22,9 @@ from .ntm_core import (
     Machine,
     MachineFormatError,
     NodeBudget,
-    NormalizeResult,
     Outcome,
     ResourceCapExceeded,
-    ResourceUsage,
     Trace,
-    TraceStep,
-    Violation,
     initial_configuration,
     machine_to_text,
     normalize,
@@ -45,11 +40,9 @@ from .crossing import (
     BlockStory,
     Descriptor,
     History,
-    LemmaReport,
     MilestoneHistory,
     OPENER,
     Partition,
-    PhaseRecord,
     RegionExceeded,
     StoryStructureError,
     block_story,
@@ -62,15 +55,11 @@ from .crossing import (
 )
 from .phase_sim import (
     InconsistentDescriptors,
-    PhaseOutcome,
     RejectReason,
-    enumerate_block_runs,
     simulate_phase,
 )
 from .block_check import BlockCheckResult, check_block, initial_block_content
 from .mstar import (
-    ChainReport,
-    Implication,
     InvalidStoryError,
     MStarResult,
     StoryGuess,
@@ -87,5 +76,4 @@ from .corpus_io import (
     corpus_text,
     general_corpus_machines,
     load_corpus_machine,
-    load_general_corpus_machine,
 )

@@ -51,7 +51,9 @@ class BlockCheckResult:
     ``content_chain`` lists the block's contents before/after each visit;
     ``choices_per_visit`` the branch picks of each visit's accepted phase
     run.  ``budget_exhausted`` distinguishes running out of steps from a
-    genuinely incoherent story.
+    genuinely incoherent story.  A rejection names the deepest visit no
+    content chain got past, by its phase, and the :class:`RejectReason` of
+    that visit's first phase outcome.
     """
 
     accepted: bool
@@ -59,6 +61,8 @@ class BlockCheckResult:
     steps_consumed: int
     choices_per_visit: tuple[tuple[int, ...], ...] = ()
     budget_exhausted: bool = False
+    failed_phase: Optional[int] = None
+    reject_reason: Optional[RejectReason] = None
 
 
 def _validate_block_story(bs: BlockStory):
@@ -88,8 +92,10 @@ def check_block(m: Machine, bs: BlockStory, x0: str, budget: int,
 
     Returns accepted results deduplicated by final content (cheapest chain
     kept), or a single non-accepted result whose ``budget_exhausted`` flag
-    tells whether a larger budget could still change the verdict.  An empty
-    story accepts vacuously with the chain ``[x0]``.
+    tells whether a larger budget could still change the verdict and
+    whose ``failed_phase`` and ``reject_reason`` say where and why the
+    deepest chain stopped.  An empty story accepts vacuously with the chain
+    ``[x0]``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -100,10 +106,11 @@ def check_block(m: Machine, bs: BlockStory, x0: str, budget: int,
 
     results: dict[str, BlockCheckResult] = {}
     saw_cap = False
+    deepest = (-1, None)  # first visit index no chain got past, at the greatest depth, and why
 
     def descend(idx: int, content: str, spent: int,
                 chain: tuple[str, ...], picks: tuple[tuple[int, ...], ...]):
-        nonlocal saw_cap
+        nonlocal saw_cap, deepest
         if idx == len(pairs):
             candidate = BlockCheckResult(True, chain, spent, picks)
             prev = results.get(content)
@@ -114,17 +121,25 @@ def check_block(m: Machine, bs: BlockStory, x0: str, budget: int,
         remaining = budget - spent
         if remaining < 1:
             saw_cap = True
+            if idx > deepest[0]:
+                deepest = (idx, RejectReason.STEP_CAP_EXCEEDED)
             return
         d_in, d_out = pairs[idx]
         outcomes = simulate_phase(m, d_in, d_out, content, step_cap=remaining, work=work)
+        passed = False
         for out in outcomes:
             if out.accepted:
+                passed = True
                 descend(idx + 1, out.result, spent + out.steps,
                         chain + (out.result,), picks + (out.choices,))
             elif out.reject_reason is RejectReason.STEP_CAP_EXCEEDED:
                 saw_cap = True
+        if not passed and idx > deepest[0]:
+            deepest = (idx, outcomes[0].reject_reason)
 
     descend(0, x0, 0, (x0,), ())
     if results:
         return list(results.values())
-    return [BlockCheckResult(False, None, 0, (), budget_exhausted=saw_cap)]
+    idx, reason = deepest
+    return [BlockCheckResult(False, None, 0, (), budget_exhausted=saw_cap,
+                             failed_phase=pairs[idx][0].phase, reject_reason=reason)]

@@ -199,6 +199,9 @@ def cmd_mstar(args) -> int:
         text = "rejected: no accepting story"
         if result.structure_error:
             text += f" (structure: {result.structure_error})"
+        if result.failed_phase is not None:
+            text += (f" (block {result.failed_block}, phase {result.failed_phase}: "
+                     f"{result.reject_reason.value})")
     _emit(report, args.json, text)
     return EXIT_ACCEPT if result.accepted else EXIT_REJECT
 

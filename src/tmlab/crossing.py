@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .ntm_core import BLANK, LEFT, RIGHT, DetRule, HaltReason, Trace
+from .ntm_core import BLANK, LEFT, RIGHT, HaltReason, Trace
 
 
 class RegionExceeded(ValueError):
@@ -283,25 +283,23 @@ def _replay(trace: Trace, partition: Partition):
     if partition.block_of_cell(1) != 1:
         raise RegionExceeded("cell 1 not covered")
 
-    for ts in trace.steps:
-        before = ts.before
+    for state, head, rule in trace.steps:
         steps_in_phase += 1
-        if isinstance(ts.action, int):
-            choices.append(ts.action)
+        if isinstance(rule, int):
+            choices.append(rule)
             continue
-        rule: DetRule = ts.action
         if rule.write is not None:
-            tape[before.head] = rule.write
+            tape[head] = rule.write
             continue
         # a move: the final left-edge attempt closes milestone 0's history
-        if rule.move == LEFT and before.head == 1:
-            closer = Descriptor(phase=phase + 1, milestone=0, state=before.state, delta=LEFT)
+        if rule.move == LEFT and head == 1:
+            closer = Descriptor(phase=phase + 1, milestone=0, state=state, delta=LEFT)
             yield PhaseRecord(phase=phase, block=block, entered=entered, left=closer,
                               content_before=content_before,
                               content_after=_block_snapshot(tape, partition, block),
                               choices=tuple(choices), steps=steps_in_phase)
             return
-        src, dst = before.head, before.head + rule.move
+        src, dst = head, head + rule.move
         if dst > partition.cells_covered():
             raise RegionExceeded(
                 f"head reached cell {dst}, beyond the {partition.r} materialized blocks")
@@ -336,7 +334,7 @@ def phase_records(trace: Trace, partition: Partition) -> list[PhaseRecord]:
 
 def partition_for_trace(trace: Trace, P: int, n: int) -> Partition:
     """Partition with enough blocks materialized to cover the trace."""
-    max_cell = max((ts.before.head for ts in trace.steps), default=1)
+    max_cell = max((head for _, head, _ in trace.steps), default=1)
     max_cell = max(max_cell, 1 + len(trace.input))
     probe = Partition(P=P, n=n, r=1)
     # one spare block so the crossing *into* the outermost visited cell's
@@ -393,12 +391,10 @@ def check_phase_lemma(trace: Trace, n: int) -> LemmaReport:
     crossed = [0] * n
     edge_seen = 0
     moves = 0
-    for ts in trace.steps:
-        rule = ts.action
+    for _, head, rule in trace.steps:
         if isinstance(rule, int) or rule.move is None:
             continue
         moves += 1
-        head = ts.before.head
         if rule.move == LEFT and head == 1:
             edge_seen = 1
         else:

@@ -43,7 +43,7 @@ from .ntm_core import (
     RIGHT,
     Machine,
 )
-from .phase_sim import enumerate_block_runs
+from .phase_sim import RejectReason, enumerate_block_runs
 
 
 class InvalidStoryError(ValueError):
@@ -136,6 +136,8 @@ class MStarResult:
     story_size: Optional[int] = None
     witness_choices: tuple[tuple[int, ...], ...] = ()   # per phase, phases 1..k-1
     failed_block: Optional[int] = None
+    failed_phase: Optional[int] = None               # deepest visit of failed_block no chain passed
+    reject_reason: Optional[RejectReason] = None     # why that visit's first outcome was rejected
     structure_error: Optional[str] = None
     budget_exhausted: bool = False
 
@@ -223,10 +225,12 @@ def verify_story(m: Machine, w: str, guess: StoryGuess, budget: Optional[int] = 
             if res.accepted and (best is None or res.steps_consumed < best.steps_consumed):
                 best = res
         if best is None:
+            failed, = results
             return MStarResult(accepted=False, winning=None, sim_time=None, sim_space=None,
                                descriptor_constant=c, wall_stats=1, budget=budget,
-                               failed_block=j,
-                               budget_exhausted=any(r.budget_exhausted for r in results))
+                               failed_block=j, failed_phase=failed.failed_phase,
+                               reject_reason=failed.reject_reason,
+                               budget_exhausted=failed.budget_exhausted)
         total_steps += best.steps_consumed
         for (d_in, _d_out), picks in zip(bs.pairs(), best.choices_per_visit):
             choices_by_phase[d_in.phase] = picks

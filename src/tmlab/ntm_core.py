@@ -87,12 +87,6 @@ class DetRule:
     move: Optional[int] = None
     write: Optional[str] = None
 
-    def is_move(self):
-        return self.move is not None and self.write is None
-
-    def is_write(self):
-        return self.write is not None and self.move is None
-
 
 @dataclass(frozen=True)
 class Machine:
@@ -341,12 +335,15 @@ class Halt:
         return self.reason is HaltReason.ACCEPTING_EXIT
 
 
-def initial_configuration(m: Machine, w: str) -> Configuration:
+def _input_tape(m: Machine, w: str) -> dict[int, str]:
     for s in w:
         if s not in m.alphabet:
             raise ValueError(f"input symbol {s!r} not in machine alphabet")
-    tape = {i + 1: s for i, s in enumerate(w)}
-    return Configuration(state=0, head=1, tape=tape)
+    return {i + 1: s for i, s in enumerate(w)}
+
+
+def initial_configuration(m: Machine, w: str) -> Configuration:
+    return Configuration(state=0, head=1, tape=_input_tape(m, w))
 
 
 def step(m: Machine, c: Configuration, choice: Optional[int] = None) -> Union[Configuration, Halt]:
@@ -387,16 +384,11 @@ class Outcome(enum.Enum):
     TIME_BOUND_EXCEEDED = "time-bound-exceeded"
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One applied rule: the configuration it was applied to, plus what ran."""
-
-    before: Configuration
-    action: Union[DetRule, int]  # DetRule, or the branch choice index
-
-    @property
-    def choice(self) -> Optional[int]:
-        return self.action if isinstance(self.action, int) else None
+# One applied rule: ``(state, head, action)``, the state and head cell it was
+# applied at and what ran, a DetRule or the branch choice index.  Rows are
+# plain tuples: CPython unpacks an exact tuple on a fast path that a
+# NamedTuple row misses, and every trace consumer unpacks each row.
+TraceStep = tuple[int, int, Union[DetRule, int]]
 
 
 @dataclass(frozen=True)
@@ -407,6 +399,13 @@ class ResourceUsage:
 
 @dataclass(frozen=True)
 class Trace:
+    """One computation: a :data:`TraceStep` row per applied rule.
+
+    The rows carry no tape: a block's content at any step is rebuilt by
+    applying the rows' writes to ``input``.  ``final`` is the one full
+    configuration, the one the run stopped in.
+    """
+
     input: str
     steps: tuple[TraceStep, ...]
     outcome: Outcome
@@ -416,7 +415,7 @@ class Trace:
 
     @property
     def choices(self) -> tuple[int, ...]:
-        return tuple(s.action for s in self.steps if isinstance(s.action, int))
+        return tuple(action for _, _, action in self.steps if isinstance(action, int))
 
 
 ChoiceSource = Union[Sequence[int], Callable[[int, tuple[int, ...]], int]]
@@ -426,8 +425,12 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
     """Run one computation, resolving nondeterminism from ``choices``.
 
     ``choices`` is either a sequence of branch indices consumed in order, or
-    a callable ``(state, successors) -> index``.  Replaying a witness
-    trace's ``choices`` reproduces it exactly.
+    a callable ``(state, successors) -> index``; a pick outside the branch
+    list, or a sequence that runs out, raises :class:`ValueError`.  The run
+    updates one state, head cell and tape in place and records a
+    :data:`TraceStep` row per applied rule, building no configuration but
+    the final one; :func:`step` is the same semantics one configuration at
+    a time.  Replaying a witness trace's ``choices`` reproduces it exactly.
     """
     if callable(choices):
         pick = choices
@@ -440,40 +443,50 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
             except StopIteration:
                 raise ValueError("choice sequence exhausted at a nondeterministic state") from None
 
-    config = initial_configuration(m, w)
+    rules = m.rules
+    branches = m.branches
+    tape = _input_tape(m, w)
+    state = 0
+    head = 1
     steps: list[TraceStep] = []
-    visited = {config.head}
+    visited = {head}
     outcome = Outcome.TIME_BOUND_EXCEEDED
     halt = None
     for _ in range(max_time):
-        if m.is_branch_state(config.state):
-            choice = pick(config.state, m.branches[config.state])
-            nxt = step(m, config, choice)
-            steps.append(TraceStep(before=config, action=choice))
-        else:
-            rule = m.rule_for(config.state, config.scanned())
-            if rule is None:
-                outcome = Outcome.HALTED_REJECTING
-                halt = Halt(HaltReason.NO_RULE)
-                break
-            nxt = step(m, config)
-            steps.append(TraceStep(before=config, action=rule))
-        if isinstance(nxt, Halt):
-            halt = nxt
-            outcome = Outcome.ACCEPTED if nxt.accepting else Outcome.HALTED_REJECTING
+        succs = branches.get(state)
+        if succs is not None:
+            choice = pick(state, succs)
+            if choice is None or not 0 <= choice < len(succs):
+                raise ValueError(f"branch choice {choice} out of range for state {state}")
+            steps.append((state, head, choice))
+            state = succs[choice]
+            continue
+        rule = rules.get((state, tape.get(head, BLANK)))
+        if rule is None:
+            outcome = Outcome.HALTED_REJECTING
+            halt = Halt(HaltReason.NO_RULE)
             break
-        config = nxt
-        visited.add(config.head)
+        steps.append((state, head, rule))
+        if rule.move is not None:
+            if rule.move == LEFT and head == 1:
+                halt = Halt(HaltReason.ACCEPTING_EXIT if state == 1 else HaltReason.LEFT_EDGE)
+                outcome = Outcome.ACCEPTED if halt.accepting else Outcome.HALTED_REJECTING
+                break
+            head += rule.move
+            visited.add(head)
+        else:
+            tape[head] = rule.write
+        state = rule.next_state
     else:
         # Bound exhausted.  A stuck state is still a halt: running out of
         # rules costs no step, so it must be observable at the bound too.
-        if not m.is_branch_state(config.state) and m.rule_for(config.state, config.scanned()) is None:
+        if state not in branches and (state, tape.get(head, BLANK)) not in rules:
             outcome = Outcome.HALTED_REJECTING
             halt = Halt(HaltReason.NO_RULE)
     # A NO_RULE halt applies no rule, so it adds no step; move attempts do.
     usage = ResourceUsage(time=len(steps), space=len(visited))
     return Trace(input=w, steps=tuple(steps), outcome=outcome, halt=halt,
-                 final=config, usage=usage)
+                 final=Configuration(state=state, head=head, tape=tape), usage=usage)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +659,7 @@ def run_direct(m: Machine, w: str, max_time: int, node_cap: int = DEFAULT_NODE_C
     """
     if max_time < 0:
         raise ValueError("max_time must be >= 0")
-    initial_configuration(m, w)  # rejects symbols outside the alphabet
+    _input_tape(m, w)  # rejects symbols outside the alphabet
     work = NodeBudget(node_cap, "direct search")
     found = None
     for stop in search_configurations(m, 0, 0, w, max_time, work=work):

@@ -5,7 +5,9 @@ and the block checker: runs and block feasibility are decided by running
 the machine on absolute tape cells with :func:`tmlab.step`, enumerating
 every nondeterministic choice sequence.  Phase counts come from replaying
 a trace against each partition, never from the one-pass table of
-:func:`tmlab.check_phase_lemma` they check.  The one exception is
+:func:`tmlab.check_phase_lemma` they check.  A single computation is
+replayed one :func:`tmlab.step` call at a time, never through the
+in-place loop of :func:`tmlab.run_with_choices`.  The one exception is
 :func:`first_verified_story`, which checks the story *search* against
 the story verifier it trusts.
 """
@@ -30,10 +32,12 @@ from tmlab import (
     MilestoneHistory,
     MStarResult,
     OPENER,
+    Outcome,
     Partition,
     RIGHT,
     StoryGuess,
     Trace,
+    initial_configuration,
     partition_for_trace,
     phase_records,
     step,
@@ -78,6 +82,56 @@ def least_accepting_run(m: Machine, w: str, max_time: int) -> Optional[OracleRun
         if found is not None:
             return found
     return None
+
+
+@dataclass(frozen=True)
+class StepReplay:
+    rows: tuple[tuple, ...]          # (state, head, action) per applied rule
+    outcome: Outcome
+    halt: Optional[Halt]
+    time: int
+    space: int
+    final: Configuration
+
+
+def replay_by_step(m: Machine, w: str, choices, max_time: int) -> StepReplay:
+    """One computation, replayed through :func:`tmlab.step` one call at a time.
+
+    ``choices`` is a sequence of branch indices consumed in order, or a
+    callable ``(state, successors) -> index``.  A sequence that runs out
+    raises :class:`ValueError`, and :func:`tmlab.step` raises it for a pick
+    outside the branch list.
+    """
+    picks = None if callable(choices) else iter(choices)
+    config = initial_configuration(m, w)
+    rows = []
+    visited = {config.head}
+    for _ in range(max_time):
+        if m.is_branch_state(config.state):
+            succs = m.branches[config.state]
+            if picks is None:
+                action = choices(config.state, succs)
+            else:
+                action = next(picks, None)
+                if action is None:
+                    raise ValueError("choice sequence exhausted")
+            nxt = step(m, config, action)
+        else:
+            action = m.rule_for(config.state, config.scanned())
+            nxt = step(m, config)
+            if isinstance(nxt, Halt) and nxt.reason is HaltReason.NO_RULE:
+                return StepReplay(tuple(rows), Outcome.HALTED_REJECTING, nxt,
+                                  len(rows), len(visited), config)
+        rows.append((config.state, config.head, action))
+        if isinstance(nxt, Halt):
+            outcome = Outcome.ACCEPTED if nxt.accepting else Outcome.HALTED_REJECTING
+            return StepReplay(tuple(rows), outcome, nxt, len(rows), len(visited), config)
+        config = nxt
+        visited.add(config.head)
+    stuck = not m.is_branch_state(config.state) and step(m, config) == Halt(HaltReason.NO_RULE)
+    return StepReplay(tuple(rows), Outcome.HALTED_REJECTING if stuck else Outcome.TIME_BOUND_EXCEEDED,
+                      Halt(HaltReason.NO_RULE) if stuck else None,
+                      len(rows), len(visited), config)
 
 
 @dataclass(frozen=True)
@@ -224,7 +278,7 @@ def crossings_off_heads(trace: Trace, n: int) -> int:
     is a completed move, which crosses one partition's milestone, and a
     left-edge exit closes milestone 0 under each of the ``n`` partitions.
     """
-    heads = [ts.before.head for ts in trace.steps] + [trace.final.head]
+    heads = [head for _, head, _ in trace.steps] + [trace.final.head]
     moves = sum(1 for a, b in zip(heads, heads[1:]) if a != b)
     edge_exit = (trace.halt is not None
                  and trace.halt.reason in (HaltReason.ACCEPTING_EXIT, HaltReason.LEFT_EDGE))

@@ -5,8 +5,10 @@ import pytest
 from tmlab import (
     BlockStory,
     Descriptor,
+    LEFT,
     Partition,
     RIGHT,
+    RejectReason,
     StoryStructureError,
     block_story,
     check_block,
@@ -14,6 +16,7 @@ from tmlab import (
     initial_block_content,
     partition_for_trace,
     phase_records,
+    parse_machine,
     run_direct,
 )
 
@@ -105,3 +108,35 @@ def test_budget_exhaustion_is_flagged(corpus):
     rejected = check_block(m, BlockStory(block=2, entries=wrong), "aaaa", budget=64)
     (res,) = rejected
     assert not res.accepted and not res.budget_exhausted
+
+
+# Visit 1 (phase 1) writes a or b on a one-cell block 2 and leaves right.
+# Visit 2 (phase 3) halts on a but leaves left on b.  Visit 3 (phase 5)
+# branches: arm 1 halts at once, arm 0 leaves right in state 13, not 14.
+THREE_VISITS = """\
+states 16
+alphabet 0 a b
+nondet 2 3 4
+det 3 0 write a 5
+det 4 0 write b 5
+det 5 a move R 6
+det 5 b move R 6
+det 7 b move L 9
+nondet 10 11 12
+det 11 b move R 13
+"""
+
+
+def test_rejection_names_the_deepest_visit_and_its_first_outcome():
+    m = parse_machine(THREE_VISITS)
+    entries = (Descriptor(1, 1, 2, RIGHT), Descriptor(2, 2, 6, RIGHT),
+               Descriptor(3, 2, 7, LEFT), Descriptor(4, 1, 9, LEFT),
+               Descriptor(5, 1, 10, RIGHT), Descriptor(6, 2, 14, RIGHT))
+    (res,) = check_block(m, BlockStory(block=2, entries=entries), "0", budget=16)
+    # the a-chain stops at phase 3 first; the b-chain gets one visit further
+    assert not res.accepted and not res.budget_exhausted
+    assert (res.failed_phase, res.reject_reason) == (5, RejectReason.HALTED_INSIDE)
+    # with ample steps for visit 1 only, the deepest visit is cut by the budget
+    (res,) = check_block(m, BlockStory(block=2, entries=entries), "0", budget=3)
+    assert res.budget_exhausted
+    assert (res.failed_phase, res.reject_reason) == (3, RejectReason.STEP_CAP_EXCEEDED)

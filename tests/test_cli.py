@@ -284,6 +284,27 @@ def test_mstar_story_resource_cap_exits_2(machine_file, tmp_path, capsys):
     assert report.verdict == "resource-cap" and report.mode == "verify-story"
 
 
+@pytest.mark.parametrize("milestone, entry, state, phase, reason", [
+    (1, 0, 2, 1, "wrong-state"),    # visit 1 leaves block 1 in state 0, not 2
+    (1, 1, 0, 3, "halted-inside"),  # visit 2 enters block 1 in state 0, which has no rule on x
+])
+def test_mstar_story_rejection_names_visit_and_reason(machine_file, tmp_path, capsys,
+                                                      milestone, entry, state, phase, reason):
+    sweep, story_path = sweep_story(machine_file, tmp_path, capsys)
+    with open(story_path, encoding="utf-8") as fh:
+        story = json.load(fh)
+    story["milestones"][milestone][entry][2] = state
+    with open(story_path, "w", encoding="utf-8") as fh:
+        json.dump(story, fh)
+    argv = ["mstar", sweep, "--input", "abab", "-n", "4", "--story", story_path]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1 and json.loads(out)["schema"] == 1
+    res = report_from_json(out).resources
+    assert (res["failed_block"], res["failed_phase"], res["reject_reason"]) == (1, phase, reason)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and f"(block 1, phase {phase}: {reason})" in out
+
+
 def test_mstar_malformed_story_exits_65(machine_file, tmp_path, capsys):
     story_path = tmp_path / "bad.json"
     story_path.write_text('{"schema": 1, "kind": "story"}')

@@ -204,7 +204,7 @@ def test_phase_count_table_against_head_positions(corpus):
     m = corpus["palindrome"]
     r = run_direct(m, "aba", 60)
     witness = r.witness
-    heads = [ts.before.head for ts in witness.steps]
+    heads = [head for _, head, _ in witness.steps]
     n = 3
     for P in (1, 2, 3):
         crossings = 0

@@ -86,8 +86,8 @@ def test_crossings_summed_over_partitions_at_most_moves(seed):
 
     rng, m, w, trace = random_run(seed)
     n = rng.randint(2, 5)
-    moves = sum(1 for ts in trace.steps
-                if isinstance(ts.action, DetRule) and ts.action.move is not None)
+    moves = sum(1 for _, _, action in trace.steps
+                if isinstance(action, DetRule) and action.move is not None)
     total = sum(replay_phase_count(trace, n=n, P=P) for P in range(1, n + 1))
     # subtract the opener phase and any final exit, counted once per partition
     assert total - n * (1 + _has_edge_exit(trace)) <= moves

@@ -31,7 +31,7 @@ from tmlab import (
     validate_normal_form,
 )
 
-from oracles import least_accepting_run, random_machine
+from oracles import least_accepting_run, random_machine, replay_by_step
 
 MINIMAL_ALWAYS_ACCEPT = """\
 states 2
@@ -276,9 +276,78 @@ def test_traces_never_move_and_write(corpus):
         r = run_direct(m, "ab", 50)
         if not r.accepted:
             continue
-        for ts in r.witness.steps:
-            if isinstance(ts.action, DetRule):
-                assert (ts.action.move is None) != (ts.action.write is None)
+        for _, _, action in r.witness.steps:
+            if isinstance(action, DetRule):
+                assert (action.move is None) != (action.write is None)
+
+
+# ---------------------------------------------------------------------------
+# trace replay
+
+
+def assert_matches_step_oracle(trace, want):
+    assert trace.steps == want.rows
+    assert (trace.outcome, trace.halt) == (want.outcome, want.halt)
+    assert (trace.usage.time, trace.usage.space) == (want.time, want.space)
+    assert trace.final == want.final  # tape included
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=30))
+@settings(max_examples=300, deadline=None)
+def test_replay_matches_step_by_step_oracle(seed, max_time):
+    rng = random.Random(seed)
+    m = random_machine(rng)
+    if rng.random() < 0.5:
+        # state 1 sweeps left, so reaching it accepts
+        m = dataclasses.replace(m, rules={**m.rules, **{
+            (1, s): DetRule(next_state=1, move=LEFT) for s in m.alphabet}})
+    w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 5)))
+
+    def random_picks(pick_seed):
+        picker = random.Random(pick_seed)
+        return lambda state, succs: picker.randrange(len(succs))
+
+    pick_seed = rng.randrange(10**6)
+    assert_matches_step_oracle(run_with_choices(m, w, random_picks(pick_seed), max_time),
+                               replay_by_step(m, w, random_picks(pick_seed), max_time))
+    # a fixed sequence may run out, and index 2 is out of range for a two-way branch
+    picks = [rng.randrange(3) for _ in range(rng.randint(0, 6))]
+    try:
+        want = replay_by_step(m, w, picks, max_time)
+    except ValueError:
+        with pytest.raises(ValueError):
+            run_with_choices(m, w, picks, max_time)
+    else:
+        assert_matches_step_oracle(run_with_choices(m, w, picks, max_time), want)
+
+
+@pytest.mark.parametrize("choices, message", [
+    ([2], "out of range"),
+    ([-1], "out of range"),
+    (lambda state, succs: len(succs), "out of range"),
+    ([], "exhausted"),
+])
+def test_replay_rejects_a_bad_or_missing_pick(corpus, choices, message):
+    # guesser branches in state 0, before its first step, between two arms
+    with pytest.raises(ValueError, match=message):
+        run_with_choices(corpus["guesser"], "bbb", choices, 40)
+
+
+def test_run_direct_builds_only_the_final_configuration(corpus, monkeypatch):
+    built = []
+    init = Configuration.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Configuration, "__init__", counted)
+    half = "abbabaaababbbaab"
+    r = run_direct(corpus["palindrome"], half + half[::-1], 32 * 32)
+    assert r.accepted and r.usage.time == 609
+    assert len(built) <= 2
+    assert not any(hasattr(ts, "before") for ts in r.witness.steps)
+    assert all(type(ts) is tuple and len(ts) == 3 for ts in r.witness.steps)
 
 
 # ---------------------------------------------------------------------------
