@@ -3,8 +3,8 @@
 A phase runs the machine on one block between sentinels: it starts just
 inside the block in the in-crossing's state and stops when the machine
 halts or steps onto a sentinel.  The outcome is accepted when the exit
-matches the claimed out-crossing.  The block checker threads contents
-through all of a block's visits, backtracking over the phase outcomes.
+matches the claimed out-crossing.  The block checker advances the block's
+frontier, every content it can hold, through its visits one at a time.
 """
 
 from tmlab import (

@@ -1,26 +1,35 @@
-"""Coherence checking of one block's story.
+"""Coherence checking of one block's story, one visit at a time.
 
 A block story claims the block was visited a number of times, each visit
-framed by an in-crossing and an out-crossing.  The checker threads block
-contents through the visits: starting from the block's initial content it
-runs each visit with the phase simulator, branching over every accepted
-post-content, and accepts when some chain of choices survives all visits
-within the step budget.
+framed by an in-crossing and an out-crossing.  The block's *frontier*
+maps every content it can hold after the visits so far to the cheapest
+way there.  :func:`advance_frontier` is the one step that runs a block's
+visits: it runs the visit's phase once from each content of the frontier
+and groups the exits by side and state, each group being the frontier
+after the visit.  :func:`check_block` applies it to each visit in turn,
+keeping the group the story's out-crossing names; the story search of
+:mod:`tmlab.mstar` applies it to the block each phase runs on.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .crossing import BlockStory, Partition, StoryStructureError
-from .ntm_core import BLANK, Machine, NodeBudget
+from .crossing import BlockStory, Descriptor, Partition, StoryStructureError
+from .ntm_core import BLANK, Machine, NodeBudget, RawStop
 from .phase_sim import (
     InconsistentDescriptors,
     RejectReason,
-    simulate_phase,
+    enumerate_block_runs,
+    exit_milestone,
+    reject_reason,
     validate_descriptor_pair,
 )
+
+# content -> its cheapest (steps, picks per visit, content chain); ties go to the least picks
+Frontier = dict[str, tuple[int, tuple[tuple[int, ...], ...], tuple[str, ...]]]
 
 
 def initial_block_content(j: int, partition: Partition, w: str) -> str:
@@ -86,6 +95,49 @@ def _validate_block_story(bs: BlockStory):
         raise StoryStructureError(f"block {bs.block}: phase numbers must strictly increase")
 
 
+def start_frontier(x0: str) -> Frontier:
+    """A block before its first visit: its initial content, at no cost."""
+    return {x0: (0, (), (x0,))}
+
+
+class Visit(NamedTuple):
+    exits: dict[tuple[int, int], Frontier]   # (side, state) -> the frontier after the visit
+    capped: bool                             # the budget cut some computation short
+    first: Optional[RawStop]                 # first stop from the first content, if it ran
+
+
+def advance_frontier(m: Machine, d_in: Descriptor, block: int, frontier: Frontier,
+                     budget: int, work: NodeBudget) -> Visit:
+    """Advance a block's frontier by one visit entered through ``d_in``.
+
+    Each content runs the phase once, within ``budget`` minus its steps so
+    far, and is charged to ``work`` once per run besides its expansions.
+    A content whose steps already use up ``budget`` does not run.
+    """
+    exits: dict[tuple[int, int], Frontier] = {}
+    capped = False
+    first = None
+    for i, (x, (steps, picks, chain)) in enumerate(frontier.items()):
+        cap = budget - steps
+        if cap < 1:
+            capped = True
+            continue
+        work.charge()
+        for stop in enumerate_block_runs(m, d_in.state, d_in.delta, x, cap,
+                                         left_is_edge=(block == 1), work=work):
+            if i == 0 and first is None:
+                first = stop
+            if stop.kind == "cap":
+                capped = True
+            elif stop.kind == "exit":
+                group = exits.setdefault((stop.delta, stop.state), {})
+                cand = (steps + stop.steps, picks + (stop.choices,), chain + (stop.content,))
+                prev = group.get(stop.content)
+                if prev is None or cand[:2] < prev[:2]:
+                    group[stop.content] = cand
+    return Visit(exits, capped, first)
+
+
 def check_block(m: Machine, bs: BlockStory, x0: str, budget: int,
                 work: Optional[NodeBudget] = None) -> list[BlockCheckResult]:
     """Search for content chains realizing every visit of ``bs``.
@@ -100,46 +152,19 @@ def check_block(m: Machine, bs: BlockStory, x0: str, budget: int,
     if budget < 0:
         raise ValueError("budget must be >= 0")
     _validate_block_story(bs)
-    pairs = bs.pairs()
-    if not pairs:
-        return [BlockCheckResult(True, (x0,), 0)]
-
-    results: dict[str, BlockCheckResult] = {}
+    work = work or NodeBudget(sys.maxsize)
+    frontier = start_frontier(x0)
     saw_cap = False
-    deepest = (-1, None)  # first visit index no chain got past, at the greatest depth, and why
-
-    def descend(idx: int, content: str, spent: int,
-                chain: tuple[str, ...], picks: tuple[tuple[int, ...], ...]):
-        nonlocal saw_cap, deepest
-        if idx == len(pairs):
-            candidate = BlockCheckResult(True, chain, spent, picks)
-            prev = results.get(content)
-            if prev is None or (candidate.steps_consumed, candidate.choices_per_visit) < (
-                    prev.steps_consumed, prev.choices_per_visit):
-                results[content] = candidate
-            return
-        remaining = budget - spent
-        if remaining < 1:
-            saw_cap = True
-            if idx > deepest[0]:
-                deepest = (idx, RejectReason.STEP_CAP_EXCEEDED)
-            return
-        d_in, d_out = pairs[idx]
-        outcomes = simulate_phase(m, d_in, d_out, content, step_cap=remaining, work=work)
-        passed = False
-        for out in outcomes:
-            if out.accepted:
-                passed = True
-                descend(idx + 1, out.result, spent + out.steps,
-                        chain + (out.result,), picks + (out.choices,))
-            elif out.reject_reason is RejectReason.STEP_CAP_EXCEEDED:
-                saw_cap = True
-        if not passed and idx > deepest[0]:
-            deepest = (idx, outcomes[0].reject_reason)
-
-    descend(0, x0, 0, (x0,), ())
-    if results:
-        return list(results.values())
-    idx, reason = deepest
-    return [BlockCheckResult(False, None, 0, (), budget_exhausted=saw_cap,
-                             failed_phase=pairs[idx][0].phase, reject_reason=reason)]
+    for d_in, d_out in bs.pairs():
+        visit = advance_frontier(m, d_in, bs.block, frontier, budget, work)
+        saw_cap |= visit.capped
+        frontier = (visit.exits.get((d_out.delta, d_out.state), {})
+                    if d_out.milestone == exit_milestone(bs.block, d_out.delta) else {})
+        if not frontier:
+            # every content failed this visit; name the first one's first outcome
+            reason = (RejectReason.STEP_CAP_EXCEEDED if visit.first is None
+                      else reject_reason(visit.first, d_out, bs.block))
+            return [BlockCheckResult(False, None, 0, (), budget_exhausted=saw_cap,
+                                     failed_phase=d_in.phase, reject_reason=reason)]
+    return [BlockCheckResult(True, chain, steps, picks)
+            for steps, picks, chain in frontier.values()]

@@ -26,6 +26,7 @@ from typing import Optional
 from .crossing import check_phase_lemma, extract_history, partition_for_trace
 from .mstar import InvalidStoryError, simulate_mstar, story_from_history, verify_story
 from .ntm_core import (
+    DEFAULT_NODE_CAP,
     MachineFormatError,
     ResourceCapExceeded,
     machine_to_text,
@@ -258,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_input:
             p.add_argument("--input", default="", help="input string (default empty)")
         p.add_argument("--json", action="store_true", help="write a JSON report to stdout")
-        p.add_argument("--node-cap", type=_NONNEGATIVE, default=10_000_000,
-                       help="cap on the configurations a search expands")
+        p.add_argument("--node-cap", type=_NONNEGATIVE, default=DEFAULT_NODE_CAP,
+                       help="cap on configurations expanded, plus mstar's phase runs")
 
     p = sub.add_parser("validate", help="parse a machine file and check normal form")
     p.add_argument("machine")

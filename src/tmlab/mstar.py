@@ -4,9 +4,9 @@ Given a machine, an input ``w`` and a scale ``n >= len(w)``, the simulator
 looks for an accepting *story*: a claimed crossing history with some first
 block length ``P``, at most ``max(2, n)`` phases, opened by ``(1,0,0,+1)``
 and closed by the accepting exit ``(k,0,1,-1)``.  A story is verified by
-checking each block's visits independently with the phase simulator, and
-the whole run is charged against a shared budget of ``n**2`` simulated
-machine steps, the same step counting the direct search uses.
+checking each block's visits independently, and the whole run is charged
+against a shared budget of ``n**2`` simulated machine steps, the same step
+counting the direct search uses.
 
 The nondeterministic "guess a story" becomes a deterministic canonical
 enumeration: first block lengths ascending, then phase counts ascending,
@@ -15,10 +15,14 @@ tuples ``(milestone, state, delta)``.  For each first block length one
 walk extends story prefixes phase by phase, each level in lexicographic
 order, and the first prefix that can close wins; so every prefix is
 examined once per first block length, and ``wall_stats`` counts each
-once.  The walk prunes prefixes whose phases cannot be realized at all,
-which never changes which story is found first, and the winner is
-re-verified through the block-by-block pipeline to produce the reported
-result.
+once.  A prefix carries one frontier per visited block, the contents the
+block can hold with the cheapest way to each, and each phase advances
+its block's frontier with :func:`tmlab.block_check.advance_frontier`, the
+same visit step :func:`tmlab.block_check.check_block` uses; the node cap
+is charged once per phase run in search and in verification alike.  The
+walk prunes prefixes whose phases cannot be realized at all, which never
+changes which story is found first, and the winner is re-verified
+through the block-by-block pipeline to produce the reported result.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .block_check import check_block, initial_block_content
+from .block_check import advance_frontier, check_block, initial_block_content, start_frontier
 from .crossing import (
     Descriptor,
     History,
@@ -43,7 +47,7 @@ from .ntm_core import (
     RIGHT,
     Machine,
 )
-from .phase_sim import RejectReason, enumerate_block_runs
+from .phase_sim import RejectReason, exit_milestone
 
 
 class InvalidStoryError(ValueError):
@@ -220,17 +224,14 @@ def verify_story(m: Machine, w: str, guess: StoryGuess, budget: Optional[int] = 
                                failed_block=j, structure_error=str(err))
         x0 = initial_block_content(j, partition, w)
         results = check_block(m, bs, x0, budget - total_steps, work=work)
-        best = None
-        for res in results:
-            if res.accepted and (best is None or res.steps_consumed < best.steps_consumed):
-                best = res
-        if best is None:
+        if not results[0].accepted:
             failed, = results
             return MStarResult(accepted=False, winning=None, sim_time=None, sim_space=None,
                                descriptor_constant=c, wall_stats=1, budget=budget,
                                failed_block=j, failed_phase=failed.failed_phase,
                                reject_reason=failed.reject_reason,
                                budget_exhausted=failed.budget_exhausted)
+        best = min(results, key=lambda res: res.steps_consumed)  # the first of the cheapest
         total_steps += best.steps_consumed
         for (d_in, _d_out), picks in zip(bs.pairs(), best.choices_per_visit):
             choices_by_phase[d_in.phase] = picks
@@ -306,29 +307,6 @@ def implication_chain(guess: StoryGuess, block_verdicts: list[bool]) -> ChainRep
 # canonical story enumeration with realizability pruning
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """One realizable way to reach the current story prefix."""
-
-    contents: tuple[tuple[int, str], ...]   # touched blocks, sorted by index
-    steps: int
-    choices: tuple[tuple[int, ...], ...]    # per completed phase
-
-    def content_of(self, j: int, P: int, n: int, w: str) -> str:
-        for idx, text in self.contents:
-            if idx == j:
-                return text
-        return initial_block_content(j, Partition(P=P, n=n, r=j), w)
-
-    def with_block(self, j: int, text: str, add_steps: int,
-                   picks: tuple[int, ...]) -> "_Entry":
-        items = dict(self.contents)
-        items[j] = text
-        return _Entry(contents=tuple(sorted(items.items())),
-                      steps=self.steps + add_steps,
-                      choices=self.choices + (picks,))
-
-
 class _StorySearch:
     def __init__(self, m: Machine, w: str, n: int, budget: int, node_cap: int):
         self.m = m
@@ -338,70 +316,47 @@ class _StorySearch:
         self.work = NodeBudget(node_cap, "story search")
         self.prefixes = 0
 
-    def _stops(self, entry: _Entry, d_in: Descriptor, block: int, P: int):
-        self.work.charge()
-        content = entry.content_of(block, P, self.n, self.w)
-        cap = self.budget - entry.steps
-        if cap < 1:
-            return []
-        return [stop for stop in enumerate_block_runs(
-                    self.m, d_in.state, d_in.delta, content, cap,
-                    left_is_edge=(block == 1), work=self.work)
-                if stop.kind == "exit"]
-
-    def find(self, P: int, kmax: int) -> Optional[tuple[int, list[Descriptor], _Entry]]:
+    def find(self, P: int, kmax: int) -> Optional[tuple[int, list[Descriptor], int]]:
         """Fewest-phase, then lexicographically first, story for ``P``.
 
         Walks the story prefixes level by level, up to ``kmax - 1`` phases:
         level ``j`` holds every realizable prefix of ``j`` phases, in
-        lexicographic order, each with the frontier of block contents that
-        reach it.  A prefix's frontier does not depend on how many phases
-        the story will have, so the first prefix that can close on the
-        shallowest level is the first story in canonical order, and each
-        prefix is examined once.
+        lexicographic order.  Once a prefix is fixed its blocks evolve
+        independently and share only the step budget, so a prefix carries
+        one frontier per visited block (see :mod:`tmlab.block_check`).  A
+        phase advances the active block's frontier by one visit: a content
+        may run iff its steps plus the other blocks' fewest steps fit the
+        budget, which is exact.  A prefix's frontiers do not depend on how
+        many phases the story will have, so the first prefix that can close
+        on the shallowest level is the first story in canonical order, and
+        each prefix is examined once.  Returns ``k``, the descriptors of
+        phases ``2..k`` and the fewest steps that realize them.
         """
-        start = _Entry(contents=(), steps=0, choices=())
-        level = [(1, OPENER, [start], [])]
+        level = [(1, OPENER, {}, [])]   # block, in-crossing, frontier per visited block, prefix
         for phase in range(1, kmax):
             children = []
-            for block, d_in, frontier, prefix in level:
+            for block, d_in, frontiers, prefix in level:
                 self.prefixes += 1
-                # run the phase from every reachable content state and group
-                # the exits by the crossing descriptor they would realize
-                grouped: dict[tuple[int, int, int], list[tuple]] = {}
-                for entry in frontier:
-                    for stop in self._stops(entry, d_in, block, P):
-                        if stop.delta == LEFT and block == 1:
-                            # tape edge: only the accepting closer may use it
-                            if stop.state != 1:
-                                continue
-                            key = (0, 1, LEFT)
-                        elif stop.delta == LEFT:
-                            key = (block - 1, stop.state, LEFT)
-                        else:
-                            key = (block, stop.state, RIGHT)
-                        grouped.setdefault(key, []).append((entry, stop))
-
-                hits = grouped.pop((0, 1, LEFT), None)
-                if hits:
-                    k = phase + 1
-                    closer = Descriptor(phase=k, milestone=0, state=1, delta=LEFT)
-                    entry, stop = min(hits, key=lambda es: (es[0].steps + es[1].steps,
-                                                            es[0].choices + (es[1].choices,)))
-                    final = entry.with_block(block, stop.content, stop.steps, stop.choices)
-                    return k, prefix + [closer], final
+                others = sum(min(steps for steps, _, _ in f.values())
+                             for j, f in frontiers.items() if j != block)
+                frontier = frontiers.get(block) or start_frontier(
+                    initial_block_content(block, Partition(P=P, n=self.n, r=block), self.w))
+                exits = advance_frontier(self.m, d_in, block, frontier,
+                                         self.budget - others, self.work).exits
+                closing = exits.get((LEFT, 1)) if block == 1 else None
+                if closing:
+                    closer = Descriptor(phase=phase + 1, milestone=0, state=1, delta=LEFT)
+                    steps = others + min(steps for steps, _, _ in closing.values())
+                    return phase + 1, prefix + [closer], steps
                 if phase == kmax - 1:
                     continue  # the last level only closes
-                for key in sorted(grouped):
-                    milestone, state, delta = key
+                # the tape edge is no milestone: only the accepting closer may use it
+                for milestone, state, delta in sorted((exit_milestone(block, delta), state, delta)
+                                                      for delta, state in exits
+                                                      if block > 1 or delta == RIGHT):
                     nxt = Descriptor(phase=phase + 1, milestone=milestone, state=state, delta=delta)
-                    merged: dict[tuple, _Entry] = {}
-                    for entry, stop in grouped[key]:
-                        cand = entry.with_block(block, stop.content, stop.steps, stop.choices)
-                        prev = merged.get(cand.contents)
-                        if prev is None or (cand.steps, cand.choices) < (prev.steps, prev.choices):
-                            merged[cand.contents] = cand
-                    children.append((block + delta, nxt, list(merged.values()), prefix + [nxt]))
+                    children.append((block + delta, nxt, {**frontiers, block: exits[delta, state]},
+                                     prefix + [nxt]))
             if not children:
                 break
             level = children
@@ -451,11 +406,11 @@ def simulate_mstar(m: Machine, w: str, n: int, budget: Optional[int] = None,
         found = search.find(P, kmax)
         if found is None:
             continue
-        k, descriptors, entry = found
+        k, descriptors, steps = found
         guess = _story_from_descriptors(n, P, k, descriptors)
         result = verify_story(m, w, guess, budget, node_cap=node_cap)
         assert result.accepted, "search found a story the verifier rejects"
-        assert result.phase_steps == entry.steps, \
+        assert result.phase_steps == steps, \
             "search and verifier disagree on the cheapest realization"
         return replace(result, wall_stats=search.prefixes)
     return MStarResult(accepted=False, winning=None, sim_time=None, sim_space=None,

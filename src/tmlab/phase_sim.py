@@ -89,6 +89,24 @@ def validate_descriptor_pair(d_in: Descriptor, d_out: Descriptor) -> int:
     return block
 
 
+def exit_milestone(block: int, delta: int) -> int:
+    """Milestone a move off ``block`` in direction ``delta`` crosses."""
+    return block - 1 if delta == LEFT else block
+
+
+def reject_reason(stop: RawStop, d_out: Descriptor, block: int) -> Optional[RejectReason]:
+    """Why ``stop`` does not leave ``block`` through ``d_out``; None when it does."""
+    if stop.kind == "halt":
+        return RejectReason.HALTED_INSIDE
+    if stop.kind == "cap":
+        return RejectReason.STEP_CAP_EXCEEDED
+    if stop.delta != d_out.delta or d_out.milestone != exit_milestone(block, d_out.delta):
+        return RejectReason.WRONG_EXIT_LEFT if stop.delta == LEFT else RejectReason.WRONG_EXIT_RIGHT
+    if stop.state != d_out.state:
+        return RejectReason.WRONG_STATE
+    return None
+
+
 def simulate_phase(m: Machine, d_in: Descriptor, d_out: Descriptor, x: str,
                    step_cap: int, work: Optional[NodeBudget] = None) -> list[PhaseOutcome]:
     """Enumerate every distinct way one phase can run on ``x``.
@@ -105,30 +123,13 @@ def simulate_phase(m: Machine, d_in: Descriptor, d_out: Descriptor, x: str,
     block = validate_descriptor_pair(d_in, d_out)
     if len(x) < 1:
         raise ValueError("block content must be nonempty")
-    want_side = d_out.delta
-    want_milestone_side = block - 1 if d_out.delta == LEFT else block
-    side_matches = want_milestone_side == d_out.milestone
-
     seen: dict[tuple, PhaseOutcome] = {}
     for stop in enumerate_block_runs(m, d_in.state, d_in.delta, x, step_cap,
                                      left_is_edge=(block == 1), work=work):
-        if stop.kind == "halt":
-            out = PhaseOutcome(False, None, stop.steps, RejectReason.HALTED_INSIDE,
-                               None, stop.state, stop.content, stop.choices)
-        elif stop.kind == "cap":
-            out = PhaseOutcome(False, None, stop.steps, RejectReason.STEP_CAP_EXCEEDED,
-                               None, stop.state, stop.content, stop.choices)
-        elif stop.delta != want_side or not side_matches:
-            reason = (RejectReason.WRONG_EXIT_LEFT if stop.delta == LEFT
-                      else RejectReason.WRONG_EXIT_RIGHT)
-            out = PhaseOutcome(False, None, stop.steps, reason,
-                               stop.delta, stop.state, stop.content, stop.choices)
-        elif stop.state != d_out.state:
-            out = PhaseOutcome(False, None, stop.steps, RejectReason.WRONG_STATE,
-                               stop.delta, stop.state, stop.content, stop.choices)
-        else:
-            out = PhaseOutcome(True, stop.content, stop.steps, None,
-                               stop.delta, stop.state, stop.content, stop.choices)
-        key = (out.accepted, out.reject_reason, out.content, out.exit_state, out.exit_delta)
-        seen.setdefault(key, out)
+        reason = reject_reason(stop, d_out, block)
+        key = (reason is None, reason, stop.content, stop.state, stop.delta)
+        if key not in seen:
+            seen[key] = PhaseOutcome(reason is None, stop.content if reason is None else None,
+                                     stop.steps, reason, stop.delta, stop.state, stop.content,
+                                     stop.choices)
     return list(seen.values())

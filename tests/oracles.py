@@ -309,3 +309,32 @@ def random_machine(rng: random.Random, max_states: int = 7) -> Machine:
                 alphabet=alphabet, rules=rules, branches=branches)
     assert not validate_normal_form(m)
     return m
+
+
+def scribble(K: int) -> Machine:
+    """A wide nondeterministic machine: it scribbles ``K`` cells, then accepts.
+
+    At each of ``K`` cells it picks ``a`` or ``b`` (one step), writes it
+    (one step) and moves right (one step); then it sweeps left in state 1
+    and accepts off the left end, ``K + 1`` moves.  On the empty input
+    every computation takes ``T = 4K + 1`` steps, and ``2**K`` contents
+    lie on the tape when the sweep starts.
+    """
+    alphabet = (BLANK, "a", "b")
+    rules = {(1, s): DetRule(next_state=1, move=LEFT) for s in alphabet}
+    branches = {}
+    pick = 0
+    for i in range(K):
+        write_a, write_b, move = 2 + 4 * i, 3 + 4 * i, 4 + 4 * i
+        after = 5 + 4 * i if i < K - 1 else 1
+        branches[pick] = (write_a, write_b)
+        rules[(write_a, BLANK)] = DetRule(next_state=move, write="a")
+        rules[(write_b, BLANK)] = DetRule(next_state=move, write="b")
+        for s in "ab":
+            rules[(move, s)] = DetRule(next_state=after, move=RIGHT)
+        pick = after
+    m = Machine(name=f"scribble_{K}", state_count=1 + 4 * K if K else 2,
+                alphabet=alphabet, rules=rules, branches=branches)
+    assert not validate_normal_form(m)
+    return m
+

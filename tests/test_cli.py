@@ -1,14 +1,19 @@
 """Command-line interface and JSON reports."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmlab import corpus_text, parse_machine, validate_normal_form
+from tmlab import CORPUS_MACHINES, corpus_text, parse_machine, validate_normal_form
 from tmlab.cli import main
 from tmlab.reporting import report_from_json
 
@@ -432,3 +437,63 @@ def test_importing_the_cli_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "0\n"
+
+
+# ---------------------------------------------------------------------------
+# mutated machine files
+
+
+def mutate_machine_text(rng: random.Random, text: str) -> str:
+    """Drop, duplicate or swap a few lines or tokens of a machine file."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        cells = [(i, t) for i, tokens in enumerate(lines) for t in range(len(tokens))]
+        op = rng.choice(("drop", "duplicate", "swap"))
+        if rng.random() < 0.5 or not cells:
+            if not lines:
+                break
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if op == "drop":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(j, list(lines[i]))
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+        else:
+            (i, t), (j, u) = rng.choice(cells), rng.choice(cells)
+            if op == "drop":
+                del lines[i][t]
+            elif op == "duplicate":
+                lines[j].insert(u, lines[i][t])
+            else:
+                lines[i][t], lines[j][u] = lines[j][u], lines[i][t]
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_mutated_machine_files_end_in_a_documented_exit_code(fuzz_dir, seed):
+    rng = random.Random(seed)
+    path = fuzz_dir / "mutant.tm"
+    path.write_text(mutate_machine_text(rng, corpus_text(rng.choice(CORPUS_MACHINES))),
+                    encoding="utf-8")
+    w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+    head = [str(path), "--input", w, "--node-cap", str(rng.choice((0, 3, 30, 3000)))]
+    if rng.random() < 0.5:
+        head.append("--json")
+    n = str(rng.randint(0, 4))
+    for argv in (["validate", str(path)],
+                 ["run", *head, "--max-steps", str(rng.randint(0, 30))],
+                 ["crossings", *head, "-n", n],
+                 ["mstar", *head, "-n", n]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # usage errors; any other exception fails the test
+                code = exc.code
+        assert code in {0, 1, 2, 64, 65, 66}, argv

@@ -32,7 +32,7 @@ from tmlab import (
     verify_story,
 )
 
-from oracles import first_verified_story, random_machine
+from oracles import first_verified_story, random_machine, scribble
 
 
 def true_story(m, w, n, P):
@@ -292,6 +292,27 @@ def test_mstar_matches_first_verified_story(seed):
     if want is not None:
         assert (got.winning, got.phase_steps, got.witness_choices) == (
             want.winning, want.phase_steps, want.witness_choices)
+
+
+def test_mstar_runs_each_block_content_once_on_a_wide_machine(monkeypatch):
+    # scribble_12 writes one of 2**12 words over 12 cells before it sweeps
+    # back, so a search that keyed its frontier on every block's content at
+    # once would hold their product; one frontier per block holds their sum
+    import tmlab.block_check
+    calls = []
+    enumerate_block_runs = tmlab.block_check.enumerate_block_runs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_block_runs(*args, **kwargs)
+
+    monkeypatch.setattr(tmlab.block_check, "enumerate_block_runs", counted)
+    m = scribble(12)
+    result = simulate_mstar(m, "", 7)
+    assert result.accepted
+    assert result.phase_steps == run_direct(m, "", 49).usage.time == 49
+    assert result.sim_space == 24
+    assert len(calls) <= 400
 
 
 def test_mstar_verify_round_trip(corpus):
