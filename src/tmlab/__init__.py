@@ -40,6 +40,7 @@ from .crossing import (
     BlockStory,
     Descriptor,
     History,
+    InconsistentDescriptors,
     MilestoneHistory,
     OPENER,
     Partition,
@@ -53,11 +54,7 @@ from .crossing import (
     phase_records,
     split_history,
 )
-from .phase_sim import (
-    InconsistentDescriptors,
-    RejectReason,
-    simulate_phase,
-)
+from .phase_sim import RejectReason, simulate_phase
 from .block_check import BlockCheckResult, check_block, initial_block_content
 from .mstar import (
     InvalidStoryError,

@@ -1,7 +1,9 @@
 """Coherence checking of one block's story, one visit at a time.
 
 A block story claims the block was visited a number of times, each visit
-framed by an in-crossing and an out-crossing.  The block's *frontier*
+framed by an in-crossing and an out-crossing; whether those pairs are
+well formed is decided by :meth:`tmlab.crossing.BlockStory.check`, and
+this module only asks whether the visits can run.  The block's *frontier*
 maps every content it can hold after the visits so far to the cheapest
 way there.  :func:`advance_frontier` is the one step that runs a block's
 visits: it runs the visit's phase once from each content of the frontier
@@ -17,16 +19,9 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .crossing import BlockStory, Descriptor, Partition, StoryStructureError
+from .crossing import BlockStory, Descriptor, Partition, exit_milestone
 from .ntm_core import BLANK, Machine, NodeBudget, RawStop
-from .phase_sim import (
-    InconsistentDescriptors,
-    RejectReason,
-    enumerate_block_runs,
-    exit_milestone,
-    reject_reason,
-    validate_descriptor_pair,
-)
+from .phase_sim import RejectReason, enumerate_block_runs, reject_reason
 
 # content -> its cheapest (steps, picks per visit, content chain); ties go to the least picks
 Frontier = dict[str, tuple[int, tuple[tuple[int, ...], ...], tuple[str, ...]]]
@@ -72,27 +67,6 @@ class BlockCheckResult:
     budget_exhausted: bool = False
     failed_phase: Optional[int] = None
     reject_reason: Optional[RejectReason] = None
-
-
-def _validate_block_story(bs: BlockStory):
-    if len(bs.entries) % 2 != 0:
-        raise StoryStructureError(f"block {bs.block}: odd number of descriptors")
-    for d_in, d_out in bs.pairs():
-        if d_out.phase != d_in.phase + 1:
-            raise StoryStructureError(
-                f"block {bs.block}: visit entered at phase {d_in.phase} must leave at "
-                f"phase {d_in.phase + 1}", phase=d_out.phase)
-        try:
-            framed = validate_descriptor_pair(d_in, d_out)
-        except InconsistentDescriptors as err:
-            raise StoryStructureError(f"block {bs.block}: {err}", phase=d_in.phase) from None
-        if framed != bs.block:
-            raise StoryStructureError(
-                f"block {bs.block}: visit at phase {d_in.phase} frames block {framed}",
-                phase=d_in.phase)
-    phases = [d.phase for d in bs.entries]
-    if any(b <= a for a, b in zip(phases, phases[1:])):
-        raise StoryStructureError(f"block {bs.block}: phase numbers must strictly increase")
 
 
 def start_frontier(x0: str) -> Frontier:
@@ -147,11 +121,13 @@ def check_block(m: Machine, bs: BlockStory, x0: str, budget: int,
     tells whether a larger budget could still change the verdict and
     whose ``failed_phase`` and ``reject_reason`` say where and why the
     deepest chain stopped.  An empty story accepts vacuously with the chain
-    ``[x0]``.
+    ``[x0]``.  Raises :class:`~tmlab.crossing.StoryStructureError` when
+    :meth:`BlockStory.check` does; a visit claiming to leave through the
+    wrong milestone is rejected as it runs, as ``wrong-exit-*``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    _validate_block_story(bs)
+    bs.check()
     work = work or NodeBudget(sys.maxsize)
     frontier = start_frontier(x0)
     saw_cap = False

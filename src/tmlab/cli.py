@@ -34,7 +34,6 @@ from .ntm_core import (
     parse_general_machine,
     parse_machine,
     run_direct,
-    validate_normal_form,
 )
 from .reporting import (
     RunReport,
@@ -101,11 +100,6 @@ def cmd_validate(args) -> int:
         machine = parse_machine(_read(args.machine))
     except MachineFormatError as err:
         print(str(err))
-        return EXIT_DATA
-    violations = validate_normal_form(machine)
-    for v in violations:
-        print(str(v))
-    if violations:
         return EXIT_DATA
     print(f"{machine.name}: ok ({machine.state_count} states, "
           f"{len(machine.rules)} rules, {len(machine.branches)} branch states)")

@@ -7,6 +7,13 @@ trace against a partition yields a descriptor every time the head crosses
 a milestone; grouped by milestone and ordered by phase these are the run's
 crossing histories, the object the guess-and-verify simulator guesses.
 
+This module also owns the story-shape rules: which block a descriptor
+pair frames (:func:`validate_descriptor_pair`), which milestone a move
+off a block crosses (:func:`exit_milestone`), and when one block's
+descriptors pair into visits (:meth:`BlockStory.check`,
+:func:`block_story`).  The phase simulator, the block checker and the
+story search all apply these rules rather than their own.
+
 Conventions (fixed here, used everywhere):
 
 * block 1 covers cells ``1..P``; block ``j >= 2`` covers cells
@@ -193,6 +200,36 @@ def merge_by_phase(*sequences: Iterable[Descriptor]) -> tuple[Descriptor, ...]:
     return tuple(merged)
 
 
+class InconsistentDescriptors(ValueError):
+    """The descriptor pair cannot frame any phase on the given block."""
+
+
+def block_index_for(d_in: Descriptor) -> int:
+    """Block a phase runs on, given its in-crossing."""
+    return d_in.milestone + 1 if d_in.delta == RIGHT else d_in.milestone
+
+
+def exit_milestone(block: int, delta: int) -> int:
+    """Milestone a move off ``block`` in direction ``delta`` crosses."""
+    return block - 1 if delta == LEFT else block
+
+
+def validate_descriptor_pair(d_in: Descriptor, d_out: Descriptor) -> int:
+    """Check the pair can frame a phase; returns the block index."""
+    if d_out.phase != d_in.phase + 1:
+        raise InconsistentDescriptors(
+            f"out-crossing must carry phase {d_in.phase + 1}, got {d_out.phase}")
+    if d_in.delta not in (LEFT, RIGHT) or d_out.delta not in (LEFT, RIGHT):
+        raise InconsistentDescriptors("directions must be -1 or +1")
+    block = block_index_for(d_in)
+    if block < 1:
+        raise InconsistentDescriptors(f"in-crossing {d_in.astuple()} does not enter any block")
+    if d_out.milestone not in (block - 1, block):
+        raise InconsistentDescriptors(
+            f"out-crossing milestone {d_out.milestone} does not border block {block}")
+    return block
+
+
 @dataclass(frozen=True)
 class BlockStory:
     """Phase-ordered in/out descriptor pairs of one block's visits."""
@@ -203,40 +240,50 @@ class BlockStory:
     def pairs(self) -> list[tuple[Descriptor, Descriptor]]:
         return [(self.entries[i], self.entries[i + 1]) for i in range(0, len(self.entries), 2)]
 
+    def check(self):
+        """Raise :class:`StoryStructureError` unless the entries pair into
+        visits of this block: an even count, each pair framing a phase on
+        this block, and phase numbers strictly increasing.
+
+        The out-crossing's side is not checked here: a visit that claims to
+        leave through the wrong milestone is rejected when it runs.
+        """
+        if len(self.entries) % 2 != 0:
+            raise StoryStructureError(f"block {self.block}: odd number of descriptors",
+                                      phase=self.entries[-1].phase)
+        for d_in, d_out in self.pairs():
+            try:
+                framed = validate_descriptor_pair(d_in, d_out)
+            except InconsistentDescriptors as err:
+                raise StoryStructureError(f"block {self.block}: {err}", phase=d_in.phase) from None
+            if framed != self.block:
+                raise StoryStructureError(
+                    f"block {self.block}: visit at phase {d_in.phase} frames block {framed}",
+                    phase=d_in.phase)
+        for a, b in zip(self.entries, self.entries[1:]):
+            if b.phase <= a.phase:
+                raise StoryStructureError(
+                    f"block {self.block}: phase numbers must strictly increase", phase=b.phase)
+
 
 def block_story(hist: History, j: int) -> BlockStory:
-    """Interleave block ``j``'s in- and out-crossings by phase order.
+    """Block ``j``'s visits: milestones ``j-1`` and ``j`` in phase order.
 
-    In-descriptors cross milestone ``j-1`` rightward or milestone ``j``
-    leftward; out-descriptors are the reverse.  Raises
-    :class:`StoryStructureError` when the interleaving does not alternate
-    in, out, in, out with consecutive phase numbers per visit.
+    Raises :class:`StoryStructureError` unless the descriptors pass
+    :meth:`BlockStory.check` and every visit's out-crossing leaves block
+    ``j``.
     """
     if not (1 <= j <= hist.partition.r):
         raise ValueError(f"block index {j} outside materialized range 1..{hist.partition.r}")
-    below = hist.milestone(j - 1)
-    above = hist.milestone(j)
-    below_plus, below_minus = split_history(below)
-    above_plus, above_minus = split_history(above)
-    in_hist = merge_by_phase(below_plus.entries, above_minus.entries)
-    out_hist = merge_by_phase(below_minus.entries, above_plus.entries)
-    if len(in_hist) != len(out_hist):
-        raise StoryStructureError(
-            f"block {j}: {len(in_hist)} entries enter but {len(out_hist)} leave",
-            phase=(in_hist + out_hist)[-1].phase if (in_hist or out_hist) else None)
-    merged = merge_by_phase(in_hist, out_hist)
-    ins = set(in_hist)
-    for idx, d in enumerate(merged):
-        should_be_in = idx % 2 == 0
-        if (d in ins) != should_be_in:
+    bs = BlockStory(block=j, entries=merge_by_phase(hist.milestone(j - 1).entries,
+                                                     hist.milestone(j).entries))
+    bs.check()
+    for _, d_out in bs.pairs():
+        if d_out.milestone != exit_milestone(j, d_out.delta):
             raise StoryStructureError(
-                f"block {j}: descriptors do not alternate in/out", phase=d.phase)
-    for d_in, d_out in zip(merged[0::2], merged[1::2]):
-        if d_out.phase != d_in.phase + 1:
-            raise StoryStructureError(
-                f"block {j}: visit entered at phase {d_in.phase} must leave at phase "
-                f"{d_in.phase + 1}, not {d_out.phase}", phase=d_out.phase)
-    return BlockStory(block=j, entries=merged)
+                f"block {j}: out-crossing {d_out.astuple()} does not leave the block",
+                phase=d_out.phase)
+    return bs
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .crossing import (
     Partition,
     StoryStructureError,
     block_story,
+    exit_milestone,
 )
 from .ntm_core import (
     DEFAULT_NODE_CAP,
@@ -47,7 +48,7 @@ from .ntm_core import (
     RIGHT,
     Machine,
 )
-from .phase_sim import RejectReason, exit_milestone
+from .phase_sim import RejectReason
 
 
 class InvalidStoryError(ValueError):
@@ -112,8 +113,11 @@ class StoryGuess:
         count = self.descriptor_count()
         if count > 2 * self.k:
             out.append(f"story carries {count} descriptors, more than 2k = {2 * self.k}")
-        for h in self.story.milestones:
+        for j, h in enumerate(self.story.milestones):
             for d in h.entries:
+                if d.milestone != j:
+                    out.append(f"descriptor {d.astuple()} is listed under S_{j} "
+                               f"but names milestone {d.milestone}")
                 if not (1 <= d.phase <= self.k):
                     out.append(f"descriptor {d.astuple()} has phase outside 1..k")
                 if not (0 <= d.milestone <= self.r):
@@ -154,19 +158,25 @@ def story_from_history(history: History) -> StoryGuess:
     Raises :class:`InvalidStoryError` when the history does not end in the
     accepting exit.
     """
-    part = history.partition
-    n = part.n
     h0 = history.milestone(0).entries
     if len(h0) != 2 or h0[0] != OPENER or h0[1].state != 1 or h0[1].delta != LEFT:
         raise InvalidStoryError(["history does not close with the accepting exit"])
-    k = h0[1].phase
-    crossed = [h.milestone for h in history.milestones if h.milestone >= 1 and h.entries]
-    r = max(crossed) + 1 if crossed else 1
-    milestones = tuple(
-        MilestoneHistory(milestone=j, entries=history.milestones[j].entries if j < len(history.milestones) else ())
-        for j in range(r + 2))
-    story = History(partition=Partition(P=part.P, n=n, r=r), milestones=milestones)
-    return StoryGuess(n=n, P=part.P, r=r, k=k, story=story)
+    return _story(history.partition.n, history.partition.P, history.descriptors()[1:])
+
+
+def _story(n: int, P: int, descriptors: list[Descriptor]) -> StoryGuess:
+    """The story of phases ``2..k``'s descriptors, in phase order, the last
+    being the accepting exit: the opener joins milestone 0, and the blocks
+    run up to the one past the rightmost milestone crossed."""
+    r = max(d.milestone for d in descriptors) + 1
+    per: list[list[Descriptor]] = [[] for _ in range(r + 2)]
+    per[0].append(OPENER)
+    for d in descriptors:
+        per[d.milestone].append(d)
+    milestones = tuple(MilestoneHistory(milestone=j, entries=tuple(entries))
+                       for j, entries in enumerate(per))
+    story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones)
+    return StoryGuess(n=n, P=P, r=r, k=descriptors[-1].phase, story=story)
 
 
 def _guess_cost(guess: StoryGuess, c: int) -> int:
@@ -316,7 +326,7 @@ class _StorySearch:
         self.work = NodeBudget(node_cap, "story search")
         self.prefixes = 0
 
-    def find(self, P: int, kmax: int) -> Optional[tuple[int, list[Descriptor], int]]:
+    def find(self, P: int, kmax: int) -> Optional[tuple[list[Descriptor], int]]:
         """Fewest-phase, then lexicographically first, story for ``P``.
 
         Walks the story prefixes level by level, up to ``kmax - 1`` phases:
@@ -329,8 +339,8 @@ class _StorySearch:
         budget, which is exact.  A prefix's frontiers do not depend on how
         many phases the story will have, so the first prefix that can close
         on the shallowest level is the first story in canonical order, and
-        each prefix is examined once.  Returns ``k``, the descriptors of
-        phases ``2..k`` and the fewest steps that realize them.
+        each prefix is examined once.  Returns the descriptors of phases
+        ``2..k`` and the fewest steps that realize them.
         """
         level = [(1, OPENER, {}, [])]   # block, in-crossing, frontier per visited block, prefix
         for phase in range(1, kmax):
@@ -347,7 +357,7 @@ class _StorySearch:
                 if closing:
                     closer = Descriptor(phase=phase + 1, milestone=0, state=1, delta=LEFT)
                     steps = others + min(steps for steps, _, _ in closing.values())
-                    return phase + 1, prefix + [closer], steps
+                    return prefix + [closer], steps
                 if phase == kmax - 1:
                     continue  # the last level only closes
                 # the tape edge is no milestone: only the accepting closer may use it
@@ -363,24 +373,7 @@ class _StorySearch:
         return None
 
 
-def _story_from_descriptors(n: int, P: int, k: int,
-                            descriptors: list[Descriptor]) -> StoryGuess:
-    blocks = [1]
-    for d in descriptors[:-1]:
-        blocks.append(blocks[-1] + 1 if d.delta == RIGHT else blocks[-1] - 1)
-    r = max(blocks)
-    per: dict[int, list[Descriptor]] = {j: [] for j in range(r + 2)}
-    per[0].append(OPENER)
-    for d in descriptors:
-        per[d.milestone].append(d)
-    milestones = tuple(MilestoneHistory(milestone=j, entries=tuple(per[j]))
-                       for j in range(r + 2))
-    story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones)
-    return StoryGuess(n=n, P=P, r=r, k=k, story=story)
-
-
-def simulate_mstar(m: Machine, w: str, n: int, budget: Optional[int] = None,
-                   max_phases: Optional[int] = None,
+def simulate_mstar(m: Machine, w: str, n: int, max_phases: Optional[int] = None,
                    node_cap: int = DEFAULT_NODE_CAP) -> MStarResult:
     """Search the story space and verify the first candidate that fits.
 
@@ -397,8 +390,7 @@ def simulate_mstar(m: Machine, w: str, n: int, budget: Optional[int] = None,
     for s in w:
         if s not in m.alphabet:
             raise ValueError(f"input symbol {s!r} not in machine alphabet")
-    if budget is None:
-        budget = n * n
+    budget = n * n
     kmax = max_phases if max_phases is not None else max(2, n)
 
     search = _StorySearch(m, w, n, budget, node_cap)
@@ -406,8 +398,8 @@ def simulate_mstar(m: Machine, w: str, n: int, budget: Optional[int] = None,
         found = search.find(P, kmax)
         if found is None:
             continue
-        k, descriptors, steps = found
-        guess = _story_from_descriptors(n, P, k, descriptors)
+        descriptors, steps = found
+        guess = _story(n, P, descriptors)
         result = verify_story(m, w, guess, budget, node_cap=node_cap)
         assert result.accepted, "search found a story the verifier rejects"
         assert result.phase_steps == steps, \

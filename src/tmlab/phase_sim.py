@@ -4,7 +4,9 @@ The engine runs the machine on a working string ``<X>`` whose sentinels
 stand where the block's neighbor cells would be.  Simulation stops when
 the machine halts inside the block or when a move lands on a sentinel;
 an outcome is accepted when the landing matches the expected out-crossing
-(side, milestone and state).
+(side, milestone and state).  Which block a descriptor pair frames and
+which milestone an exit crosses are the story-shape rules of
+:mod:`tmlab.crossing`; this module only runs a phase against them.
 
 For block 1 the left sentinel is the left end of the tape, so landing on
 it means the real machine halts: the state checked there is the one the
@@ -17,12 +19,14 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .crossing import Descriptor
+from .crossing import (  # noqa: F401 -- block_index_for and InconsistentDescriptors re-exported
+    Descriptor,
+    InconsistentDescriptors,
+    block_index_for,
+    exit_milestone,
+    validate_descriptor_pair,
+)
 from .ntm_core import LEFT, RIGHT, Machine, NodeBudget, RawStop, search_configurations
-
-
-class InconsistentDescriptors(ValueError):
-    """The descriptor pair cannot frame any phase on the given block."""
 
 
 class RejectReason(enum.Enum):
@@ -66,32 +70,6 @@ def enumerate_block_runs(m: Machine, start_state: int, enter_delta: int, x: str,
     yield from search_configurations(m, start_state, 0 if enter_delta == RIGHT else len(x) - 1,
                                      x, step_cap, width=len(x), left_is_edge=left_is_edge,
                                      work=work)
-
-
-def block_index_for(d_in: Descriptor) -> int:
-    """Block a phase runs on, given its in-crossing."""
-    return d_in.milestone + 1 if d_in.delta == RIGHT else d_in.milestone
-
-
-def validate_descriptor_pair(d_in: Descriptor, d_out: Descriptor) -> int:
-    """Check the pair can frame a phase; returns the block index."""
-    if d_out.phase != d_in.phase + 1:
-        raise InconsistentDescriptors(
-            f"out-crossing must carry phase {d_in.phase + 1}, got {d_out.phase}")
-    if d_in.delta not in (LEFT, RIGHT) or d_out.delta not in (LEFT, RIGHT):
-        raise InconsistentDescriptors("directions must be -1 or +1")
-    block = block_index_for(d_in)
-    if block < 1:
-        raise InconsistentDescriptors(f"in-crossing {d_in.astuple()} does not enter any block")
-    if d_out.milestone not in (block - 1, block):
-        raise InconsistentDescriptors(
-            f"out-crossing milestone {d_out.milestone} does not border block {block}")
-    return block
-
-
-def exit_milestone(block: int, delta: int) -> int:
-    """Milestone a move off ``block`` in direction ``delta`` crosses."""
-    return block - 1 if delta == LEFT else block
 
 
 def reject_reason(stop: RawStop, d_out: Descriptor, block: int) -> Optional[RejectReason]:

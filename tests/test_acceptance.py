@@ -8,6 +8,7 @@ length at most 6 over the two-symbol alphabet {a, b}; the scale for input
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from tmlab import (
     CORPUS_MACHINES,
     Descriptor,
     GENERAL_CORPUS_MACHINES,
+    NodeBudget,
     StoryStructureError,
     block_story,
     check_block,
@@ -36,6 +38,7 @@ from tmlab import (
     simulate_phase,
     split_history,
 )
+from tmlab.block_check import advance_frontier, start_frontier
 
 from conftest import all_inputs, scale_for
 from oracles import block_story_feasible, random_machine
@@ -88,6 +91,9 @@ def test_criterion_1_oracle_equivalence(corpus_runs):
 
 
 def test_criterion_2_phase_faithfulness(corpus, corpus_runs):
+    """Each recorded phase is an accepted outcome of ``simulate_phase`` and,
+    through the visit step the story search and ``check_block`` run, lands
+    its content in the exit group of its out-crossing at no more steps."""
     checked = failures = 0
     for name, w, n, witness in witnesses(corpus_runs):
         m = corpus[name]
@@ -100,6 +106,12 @@ def test_criterion_2_phase_faithfulness(corpus, corpus_runs):
                 outs = simulate_phase(m, rec.entered, rec.left, rec.content_before,
                                       step_cap=n * n)
                 if not any(o.accepted and o.result == rec.content_after for o in outs):
+                    failures += 1
+                visit = advance_frontier(m, rec.entered, rec.block,
+                                         start_frontier(rec.content_before), n * n,
+                                         NodeBudget(sys.maxsize))
+                group = visit.exits.get((rec.left.delta, rec.left.state), {})
+                if rec.content_after not in group or group[rec.content_after][0] > rec.steps:
                     failures += 1
     assert checked > 0 and failures == 0
     print(f"ACCEPTANCE 2 (phase faithfulness): PASS ({checked} recorded phases, 0 failures)")

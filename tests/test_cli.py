@@ -13,9 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmlab import CORPUS_MACHINES, corpus_text, parse_machine, validate_normal_form
+from tmlab import (
+    CORPUS_MACHINES,
+    corpus_text,
+    extract_history,
+    parse_machine,
+    partition_for_trace,
+    run_direct,
+    story_from_history,
+    validate_normal_form,
+)
 from tmlab.cli import main
-from tmlab.reporting import report_from_json
+from tmlab.reporting import report_from_json, story_to_dict
+
+from conftest import all_inputs, scale_for
 
 
 @pytest.fixture()
@@ -220,8 +231,6 @@ def test_mstar_agrees_with_run(machine_file, capsys):
 def test_mstar_and_run_agree_across_the_corpus(tmp_path, capsys):
     # exit-code agreement (0 vs 1) between the two commands, with the run
     # budget set to n^2, over every corpus machine and input up to length 4
-    from conftest import all_inputs, scale_for
-    from tmlab import CORPUS_MACHINES, corpus_text
 
     for name in CORPUS_MACHINES:
         path = tmp_path / f"{name}.tm"
@@ -308,6 +317,19 @@ def test_mstar_story_rejection_names_visit_and_reason(machine_file, tmp_path, ca
     assert (res["failed_block"], res["failed_phase"], res["reject_reason"]) == (1, phase, reason)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1 and f"(block 1, phase {phase}: {reason})" in out
+
+
+def test_mstar_story_descriptor_under_another_milestone_exits_65(machine_file, tmp_path, capsys):
+    sweep, story_path = sweep_story(machine_file, tmp_path, capsys)
+    with open(story_path, encoding="utf-8") as fh:
+        story = json.load(fh)
+    assert story["milestones"][1][0] == [2, 1, 0, 1]
+    story["milestones"][1][0][1] = 2   # still listed under S_1, now naming milestone 2
+    with open(story_path, "w", encoding="utf-8") as fh:
+        json.dump(story, fh)
+    code, out, err = run_cli(capsys, "mstar", sweep, "--input", "abab", "-n", "4",
+                             "--story", story_path, "--json")
+    assert code == 65 and out == "" and "(2, 2, 0, 1)" in err
 
 
 def test_mstar_malformed_story_exits_65(machine_file, tmp_path, capsys):
@@ -497,3 +519,85 @@ def test_mutated_machine_files_end_in_a_documented_exit_code(fuzz_dir, seed):
             except SystemExit as exc:  # usage errors; any other exception fails the test
                 code = exc.code
         assert code in {0, 1, 2, 64, 65, 66}, argv
+
+
+# ---------------------------------------------------------------------------
+# mutated story files
+
+
+def mutate_story(rng: random.Random, story: dict, state_count: int) -> dict:
+    """Change one or two things in a story: a descriptor's milestone,
+    direction, phase or state; the list a descriptor sits in; a dropped or
+    duplicated descriptor; or one of ``n``, ``P``, ``r`` and ``k`` by one."""
+    story = json.loads(json.dumps(story))
+    lists = story["milestones"]
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(("milestone", "delta", "phase", "state", "move", "drop", "duplicate",
+                         "scale"))
+        if op == "scale":
+            story[rng.choice("nPrk")] += rng.choice((-1, 1))
+            continue
+        located = [(j, i) for j, entries in enumerate(lists) for i in range(len(entries))]
+        if not located:
+            continue
+        j, i = rng.choice(located)
+        d = lists[j][i]
+        if op == "milestone":
+            d[1] += rng.choice((-1, 1))
+        elif op == "delta":
+            d[3] = -d[3]
+        elif op == "phase":
+            d[0] += rng.choice((-1, 1))
+        elif op == "state":
+            d[2] = rng.choice([s for s in range(state_count + 1) if s != d[2]])
+        elif op == "move":
+            target = rng.choice([t for t in range(len(lists)) if t != j] or [j])
+            lists[target].insert(rng.randint(0, len(lists[target])), lists[j].pop(i))
+        elif op == "drop":
+            del lists[j][i]
+        else:
+            lists[j].insert(i, list(d))
+    return story
+
+
+@pytest.fixture(scope="module")
+def corpus_stories(fuzz_dir, corpus):
+    """(machine, machine file, input, n, story) for accepted corpus runs with
+    ``|w| <= 4`` at ``n = max(2, |w|)``, one extracted story per ``P``.
+
+    Stories that never leave block 1 are left out: nearly every mutant of
+    one is caught by the ``S_0`` rules before any block runs."""
+    out = []
+    for name, m in sorted(corpus.items()):
+        path = fuzz_dir / f"{name}.tm"
+        path.write_text(corpus_text(name), encoding="utf-8")
+        for w in all_inputs(4):
+            n = scale_for(w)
+            direct = run_direct(m, w, n * n)
+            if not direct.accepted:
+                continue
+            for P in range(1, n + 1):
+                hist = extract_history(direct.witness, partition_for_trace(direct.witness, P, n))
+                story = story_to_dict(story_from_history(hist))
+                if any(story["milestones"][1:]):
+                    out.append((m, str(path), w, n, story))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_mutated_story_files_end_in_a_documented_exit_code(fuzz_dir, corpus_stories, seed):
+    rng = random.Random(seed)
+    m, machine_path, w, n, story = rng.choice(corpus_stories)
+    story = mutate_story(rng, story, m.state_count)
+    path = fuzz_dir / "mutant.json"
+    path.write_text(json.dumps(story), encoding="utf-8")
+    argv = ["mstar", machine_path, "--input", w, "-n", str(n), "--story", str(path), "--json"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors; any other exception fails the test
+            code = exc.code
+    assert code in {0, 1, 2, 64, 65, 66}, story
+    if code == 0:
+        assert run_direct(m, w, story["n"] ** 2).accepted, story

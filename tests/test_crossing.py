@@ -132,6 +132,21 @@ def test_block_story_rejects_broken_alternation(zigzag_history):
     assert err.value.phase is not None
 
 
+def test_block_story_rejects_an_exit_through_the_entry_side():
+    """``block_story`` requires each visit to leave its block, as the shape
+    check that ``check_block`` runs does not: there a wrong side is a run-time
+    rejection."""
+    from tmlab import BlockStory, Descriptor, History, MilestoneHistory
+    d = [Descriptor(1, 0, 0, +1), Descriptor(2, 1, 0, +1), Descriptor(3, 1, 1, +1),
+         Descriptor(4, 0, 1, -1)]
+    lists = ((d[0], d[3]), (d[1], d[2]), (), ())
+    story = History(partition=Partition(P=1, n=2, r=2),
+                    milestones=tuple(MilestoneHistory(j, es) for j, es in enumerate(lists)))
+    with pytest.raises(StoryStructureError, match=r"out-crossing \(3, 1, 1, 1\) does not leave"):
+        block_story(story, 2)
+    BlockStory(block=2, entries=(d[1], d[2])).check()
+
+
 # ---------------------------------------------------------------------------
 # extraction on other shapes
 
