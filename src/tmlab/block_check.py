@@ -1,15 +1,17 @@
 """Coherence checking of one block's story, one visit at a time.
 
 A block story claims the block was visited a number of times, each visit
-framed by an in-crossing and an out-crossing; whether those pairs are
-well formed is decided by :meth:`tmlab.crossing.BlockStory.check`, and
-this module only asks whether the visits can run.  The block's *frontier*
-maps every content it can hold after the visits so far to the cheapest
-way there.  :func:`advance_frontier` is the one step that runs a block's
-visits: it runs the visit's phase once from each content of the frontier
-and groups the exits by side and state, each group being the frontier
-after the visit.  :func:`check_block` applies it to each visit in turn,
-keeping the group the story's out-crossing names; the story search of
+framed by an in-crossing and an out-crossing.  Whether a whole story is
+well formed is decided by :meth:`tmlab.crossing.History.violations`, and
+whether one block story's pairs are by
+:meth:`tmlab.crossing.BlockStory.check`; this module only asks whether the
+visits can run.  The block's *frontier* maps every content it can hold
+after the visits so far to the cheapest way there.
+:func:`advance_frontier` is the one step that runs a block's visits: it
+runs the visit's phase once from each content of the frontier and groups
+the exits by side and state, each group being the frontier after the
+visit.  :func:`check_block` applies it to each visit in turn, keeping the
+group the story's out-crossing names; the story search of
 :mod:`tmlab.mstar` applies it to the block each phase runs on.
 """
 
@@ -122,8 +124,10 @@ def check_block(m: Machine, bs: BlockStory, x0: str, budget: int,
     whose ``failed_phase`` and ``reject_reason`` say where and why the
     deepest chain stopped.  An empty story accepts vacuously with the chain
     ``[x0]``.  Raises :class:`~tmlab.crossing.StoryStructureError` when
-    :meth:`BlockStory.check` does; a visit claiming to leave through the
-    wrong milestone is rejected as it runs, as ``wrong-exit-*``.
+    :meth:`BlockStory.check` does, which cannot happen for a block of a
+    story that passes :meth:`~tmlab.crossing.History.violations`; a visit
+    claiming to leave through the wrong milestone is rejected as it runs,
+    as ``wrong-exit-*``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

@@ -192,8 +192,6 @@ def cmd_mstar(args) -> int:
                 f"sim_space {result.sim_space}")
     else:
         text = "rejected: no accepting story"
-        if result.structure_error:
-            text += f" (structure: {result.structure_error})"
         if result.failed_phase is not None:
             text += (f" (block {result.failed_block}, phase {result.failed_phase}: "
                      f"{result.reject_reason.value})")

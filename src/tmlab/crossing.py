@@ -7,12 +7,13 @@ trace against a partition yields a descriptor every time the head crosses
 a milestone; grouped by milestone and ordered by phase these are the run's
 crossing histories, the object the guess-and-verify simulator guesses.
 
-This module also owns the story-shape rules: which block a descriptor
-pair frames (:func:`validate_descriptor_pair`), which milestone a move
-off a block crosses (:func:`exit_milestone`), and when one block's
-descriptors pair into visits (:meth:`BlockStory.check`,
-:func:`block_story`).  The phase simulator, the block checker and the
-story search all apply these rules rather than their own.
+This module also owns the one story-shape rule, :meth:`History.violations`:
+a history is a single head walk through blocks ``1..r``.  Its parts,
+which block a descriptor pair frames (:func:`validate_descriptor_pair`)
+and which milestone a move off a block crosses (:func:`exit_milestone`),
+are what the phase simulator and the block checker run against;
+:meth:`BlockStory.check` is the rule seen from one block, for callers
+that check a block story on its own.
 
 Conventions (fixed here, used everywhere):
 
@@ -110,96 +111,6 @@ class Descriptor:
 OPENER = Descriptor(phase=1, milestone=0, state=0, delta=RIGHT)
 
 
-@dataclass(frozen=True)
-class MilestoneHistory:
-    milestone: int
-    entries: tuple[Descriptor, ...] = ()
-
-    def violations(self) -> list[str]:
-        out = []
-        phases = [d.phase for d in self.entries]
-        if any(b <= a for a, b in zip(phases, phases[1:])):
-            out.append(f"milestone {self.milestone}: phase numbers must strictly increase")
-        for d in self.entries:
-            if d.milestone != self.milestone:
-                out.append(f"milestone {self.milestone}: entry {d.astuple()} carries wrong milestone")
-        if self.milestone >= 1:
-            for idx, d in enumerate(self.entries):
-                want = RIGHT if idx % 2 == 0 else LEFT
-                if d.delta != want:
-                    out.append(
-                        f"milestone {self.milestone}: direction must alternate +1,-1,... "
-                        f"(entry {idx} is {d.delta:+d})")
-                    break
-        else:
-            if self.entries:
-                if self.entries[0] != OPENER:
-                    out.append(f"milestone 0 must open with {OPENER.astuple()}")
-                if len(self.entries) > 2:
-                    out.append("milestone 0 holds at most the opener and one exit")
-                if len(self.entries) == 2 and self.entries[1].delta != LEFT:
-                    out.append("milestone 0's exit must have direction -1")
-        return out
-
-
-@dataclass(frozen=True)
-class History:
-    """Milestone histories ``H_0 .. H_{r+1}`` under one partition.
-
-    The same shape serves as a *story* (a guessed history); nothing in the
-    data distinguishes the two roles.
-    """
-
-    partition: Partition
-    milestones: tuple[MilestoneHistory, ...]
-
-    def milestone(self, j: int) -> MilestoneHistory:
-        return self.milestones[j]
-
-    def descriptors(self) -> list[Descriptor]:
-        out = [d for h in self.milestones for d in h.entries]
-        out.sort(key=lambda d: d.phase)
-        return out
-
-    def phase_total(self) -> int:
-        """Number of phases = highest phase number appearing."""
-        return max((d.phase for h in self.milestones for d in h.entries), default=0)
-
-    def violations(self) -> list[str]:
-        out = []
-        if len(self.milestones) != self.partition.r + 2:
-            out.append(f"expected milestone lists H_0..H_{self.partition.r + 1}")
-            return out
-        for j, h in enumerate(self.milestones):
-            if h.milestone != j:
-                out.append(f"history at position {j} is labeled milestone {h.milestone}")
-            out.extend(h.violations())
-        if self.milestones[-1].entries:
-            out.append(f"H_{self.partition.r + 1} must be empty")
-        descriptors = self.descriptors()
-        if not descriptors or descriptors[0] != OPENER:
-            out.append(f"histories must open with {OPENER.astuple()}")
-        phases = [d.phase for d in descriptors]
-        k = self.phase_total()
-        if sorted(phases) != list(range(1, k + 1)):
-            out.append("every phase number in 1..k must label exactly one descriptor")
-        return out
-
-
-def split_history(h: MilestoneHistory) -> tuple[MilestoneHistory, MilestoneHistory]:
-    """Separate a history into its rightward (+1) and leftward (-1) parts."""
-    plus = tuple(d for d in h.entries if d.delta == RIGHT)
-    minus = tuple(d for d in h.entries if d.delta == LEFT)
-    return (MilestoneHistory(h.milestone, plus), MilestoneHistory(h.milestone, minus))
-
-
-def merge_by_phase(*sequences: Iterable[Descriptor]) -> tuple[Descriptor, ...]:
-    """Compose descriptor sequences by ascending phase number."""
-    merged = [d for seq in sequences for d in seq]
-    merged.sort(key=lambda d: d.phase)
-    return tuple(merged)
-
-
 class InconsistentDescriptors(ValueError):
     """The descriptor pair cannot frame any phase on the given block."""
 
@@ -228,6 +139,86 @@ def validate_descriptor_pair(d_in: Descriptor, d_out: Descriptor) -> int:
         raise InconsistentDescriptors(
             f"out-crossing milestone {d_out.milestone} does not border block {block}")
     return block
+
+
+@dataclass(frozen=True)
+class MilestoneHistory:
+    milestone: int
+    entries: tuple[Descriptor, ...] = ()
+
+
+@dataclass(frozen=True)
+class History:
+    """Milestone histories ``H_0 .. H_{r+1}`` under one partition.
+
+    The same shape serves as a *story* (a guessed history); nothing in the
+    data distinguishes the two roles.
+    """
+
+    partition: Partition
+    milestones: tuple[MilestoneHistory, ...]
+
+    def milestone(self, j: int) -> MilestoneHistory:
+        return self.milestones[j]
+
+    def descriptors(self) -> list[Descriptor]:
+        out = [d for h in self.milestones for d in h.entries]
+        out.sort(key=lambda d: d.phase)
+        return out
+
+    def violations(self) -> list[str]:
+        """Why the history is not one head walk through blocks ``1..r``.
+
+        Each descriptor sits in the list of the milestone it names and
+        enters a block no further right than ``r``.  In phase order the
+        first descriptor is :data:`OPENER`, and each next one carries the
+        next phase number and leaves the block the previous one entered,
+        both crossing in direction -1 or +1; so the phases are ``1..k``,
+        once each.  The walk implies the rest of the shape: each
+        milestone's crossings alternate +1, -1, ...; milestone 0 holds the
+        opener and at most a final exit; ``H_{r+1}`` is empty; there are
+        ``k`` descriptors; and every block's visits pair up
+        (:meth:`BlockStory.check`).
+        """
+        r = self.partition.r
+        if len(self.milestones) != r + 2:
+            return [f"expected milestone lists H_0..H_{r + 1}"]
+        out = []
+        for j, h in enumerate(self.milestones):
+            for d in h.entries:
+                if d.milestone != j:
+                    out.append(f"descriptor {d.astuple()} is listed under S_{j} "
+                               f"but names milestone {d.milestone}")
+                elif (block := block_index_for(d)) > r:
+                    out.append(f"phase {d.phase}: {d.astuple()} enters block {block}, "
+                               f"beyond r = {r}")
+        walk = self.descriptors()
+        if not walk or walk[0] != OPENER:
+            out.append(f"histories must open with {OPENER.astuple()}")
+        if out:
+            return out
+        for d_in, d_out in zip(walk, walk[1:]):
+            try:
+                block = validate_descriptor_pair(d_in, d_out)
+            except InconsistentDescriptors as err:
+                return [f"phase {d_out.phase}: {err}"]
+            if d_out.milestone != exit_milestone(block, d_out.delta):
+                return [f"phase {d_out.phase}: {d_out.astuple()} does not leave block {block}"]
+        return []
+
+
+def split_history(h: MilestoneHistory) -> tuple[MilestoneHistory, MilestoneHistory]:
+    """Separate a history into its rightward (+1) and leftward (-1) parts."""
+    plus = tuple(d for d in h.entries if d.delta == RIGHT)
+    minus = tuple(d for d in h.entries if d.delta == LEFT)
+    return (MilestoneHistory(h.milestone, plus), MilestoneHistory(h.milestone, minus))
+
+
+def merge_by_phase(*sequences: Iterable[Descriptor]) -> tuple[Descriptor, ...]:
+    """Compose descriptor sequences by ascending phase number."""
+    merged = [d for seq in sequences for d in seq]
+    merged.sort(key=lambda d: d.phase)
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -267,23 +258,9 @@ class BlockStory:
 
 
 def block_story(hist: History, j: int) -> BlockStory:
-    """Block ``j``'s visits: milestones ``j-1`` and ``j`` in phase order.
-
-    Raises :class:`StoryStructureError` unless the descriptors pass
-    :meth:`BlockStory.check` and every visit's out-crossing leaves block
-    ``j``.
-    """
-    if not (1 <= j <= hist.partition.r):
-        raise ValueError(f"block index {j} outside materialized range 1..{hist.partition.r}")
-    bs = BlockStory(block=j, entries=merge_by_phase(hist.milestone(j - 1).entries,
-                                                     hist.milestone(j).entries))
-    bs.check()
-    for _, d_out in bs.pairs():
-        if d_out.milestone != exit_milestone(j, d_out.delta):
-            raise StoryStructureError(
-                f"block {j}: out-crossing {d_out.astuple()} does not leave the block",
-                phase=d_out.phase)
-    return bs
+    """Block ``j``'s visits: milestones ``j-1`` and ``j`` in phase order."""
+    return BlockStory(block=j, entries=merge_by_phase(hist.milestone(j - 1).entries,
+                                                       hist.milestone(j).entries))
 
 
 # ---------------------------------------------------------------------------

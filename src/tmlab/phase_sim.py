@@ -19,13 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .crossing import (  # noqa: F401 -- block_index_for and InconsistentDescriptors re-exported
-    Descriptor,
-    InconsistentDescriptors,
-    block_index_for,
-    exit_milestone,
-    validate_descriptor_pair,
-)
+from .crossing import Descriptor, exit_milestone, validate_descriptor_pair
 from .ntm_core import LEFT, RIGHT, Machine, NodeBudget, RawStop, search_configurations
 
 

@@ -160,6 +160,4 @@ def mstar_resources(result: MStarResult) -> dict:
     if result.failed_phase is not None:
         out["failed_phase"] = result.failed_phase
         out["reject_reason"] = result.reject_reason.value
-    if result.structure_error is not None:
-        out["structure_error"] = result.structure_error
     return out

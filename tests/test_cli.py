@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tmlab import (
     CORPUS_MACHINES,
+    InvalidStoryError,
     corpus_text,
     extract_history,
     parse_machine,
@@ -22,9 +23,10 @@ from tmlab import (
     run_direct,
     story_from_history,
     validate_normal_form,
+    verify_story,
 )
 from tmlab.cli import main
-from tmlab.reporting import report_from_json, story_to_dict
+from tmlab.reporting import report_from_json, story_from_dict, story_to_dict
 
 from conftest import all_inputs, scale_for
 
@@ -332,6 +334,37 @@ def test_mstar_story_descriptor_under_another_milestone_exits_65(machine_file, t
     assert code == 65 and out == "" and "(2, 2, 0, 1)" in err
 
 
+ONE_STEP_RIGHT = """states 3
+alphabet 0 a
+det 0 a move R 2
+det 1 a move L 1
+det 1 0 move L 1
+"""
+
+
+@pytest.mark.parametrize("text, w, n, P, state, run_code", [
+    (ONE_STEP_RIGHT, "a", 2, 1, 2, 1),
+    (corpus_text("sweep_right"), "abba", 4, 3, 0, 0),
+], ids=["one_step_right", "sweep_right"])
+def test_mstar_story_entering_a_block_past_r_exits_65(tmp_path, capsys, text, w, n, P, state,
+                                                     run_code):
+    """A story with ``r = 1`` whose second phase crosses into block 2 never
+    has that block checked, so it must be refused as data.  On the first
+    machine it would accept an input that ``run`` rejects."""
+    story = {"schema": 1, "kind": "story", "n": n, "P": P, "r": 1, "k": 4,
+             "milestones": [[[1, 0, 0, 1], [4, 0, 1, -1]], [[2, 1, state, 1], [3, 1, 1, -1]], []]}
+    with pytest.raises(InvalidStoryError, match="enters block 2, beyond r = 1"):
+        verify_story(parse_machine(text), w, story_from_dict(story))
+    machine_path, story_path = tmp_path / "m.tm", tmp_path / "story.json"
+    machine_path.write_text(text, encoding="utf-8")
+    story_path.write_text(json.dumps(story), encoding="utf-8")
+    code, out, err = run_cli(capsys, "mstar", str(machine_path), "--input", w, "-n", str(n),
+                             "--story", str(story_path), "--json")
+    assert code == 65 and out == "" and "phase 2" in err
+    code, _, _ = run_cli(capsys, "run", str(machine_path), "--input", w, "--max-steps", str(n * n))
+    assert code == run_code
+
+
 def test_mstar_malformed_story_exits_65(machine_file, tmp_path, capsys):
     story_path = tmp_path / "bad.json"
     story_path.write_text('{"schema": 1, "kind": "story"}')
@@ -528,14 +561,24 @@ def test_mutated_machine_files_end_in_a_documented_exit_code(fuzz_dir, seed):
 def mutate_story(rng: random.Random, story: dict, state_count: int) -> dict:
     """Change one or two things in a story: a descriptor's milestone,
     direction, phase or state; the list a descriptor sits in; a dropped or
-    duplicated descriptor; or one of ``n``, ``P``, ``r`` and ``k`` by one."""
+    duplicated descriptor; one of ``n``, ``P``, ``r`` and ``k`` by one; or
+    ``r`` by one together with the trailing milestone list, so the lists
+    still match ``r`` and a crossing may enter a block past it."""
     story = json.loads(json.dumps(story))
     lists = story["milestones"]
     for _ in range(rng.randint(1, 2)):
         op = rng.choice(("milestone", "delta", "phase", "state", "move", "drop", "duplicate",
-                         "scale"))
+                         "scale", "blocks"))
         if op == "scale":
             story[rng.choice("nPrk")] += rng.choice((-1, 1))
+            continue
+        if op == "blocks":
+            if rng.random() < 0.5:
+                story["r"] += 1
+                lists.append([])
+            elif lists:
+                story["r"] -= 1
+                lists.pop()
             continue
         located = [(j, i) for j, entries in enumerate(lists) for i in range(len(entries))]
         if not located:

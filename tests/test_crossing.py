@@ -11,7 +11,6 @@ import pytest
 from tmlab import (
     Partition,
     RegionExceeded,
-    StoryStructureError,
     block_story,
     check_phase_lemma,
     extract_history,
@@ -120,6 +119,8 @@ def test_block_story_unvisited_block(zigzag_history):
 
 
 def test_block_story_rejects_broken_alternation(zigzag_history):
+    """Two +1 crossings of milestone 3 in a row are no head walk: the history
+    rule names the phase whose crossing does not leave block 4."""
     from dataclasses import replace
     from tmlab import History, MilestoneHistory
     h3 = zigzag_history.milestone(3)
@@ -127,13 +128,21 @@ def test_block_story_rejects_broken_alternation(zigzag_history):
     milestones = tuple(MilestoneHistory(h.milestone, flipped if h.milestone == 3 else h.entries)
                        for h in zigzag_history.milestones)
     broken = History(partition=zigzag_history.partition, milestones=milestones)
-    with pytest.raises(StoryStructureError) as err:
-        block_story(broken, 3)
-    assert err.value.phase is not None
+    assert broken.violations() == ["phase 5: (5, 3, 8, 1) does not leave block 4"]
+
+
+def test_history_must_open_with_the_opener(zigzag_history):
+    from dataclasses import replace
+    from tmlab import History, MilestoneHistory
+    h0 = zigzag_history.milestone(0)
+    reopened = MilestoneHistory(0, (replace(h0.entries[0], state=5),) + h0.entries[1:])
+    broken = History(partition=zigzag_history.partition,
+                     milestones=(reopened,) + zigzag_history.milestones[1:])
+    assert broken.violations() == ["histories must open with (1, 0, 0, 1)"]
 
 
 def test_block_story_rejects_an_exit_through_the_entry_side():
-    """``block_story`` requires each visit to leave its block, as the shape
+    """The history rule requires each visit to leave its block, as the shape
     check that ``check_block`` runs does not: there a wrong side is a run-time
     rejection."""
     from tmlab import BlockStory, Descriptor, History, MilestoneHistory
@@ -142,8 +151,7 @@ def test_block_story_rejects_an_exit_through_the_entry_side():
     lists = ((d[0], d[3]), (d[1], d[2]), (), ())
     story = History(partition=Partition(P=1, n=2, r=2),
                     milestones=tuple(MilestoneHistory(j, es) for j, es in enumerate(lists)))
-    with pytest.raises(StoryStructureError, match=r"out-crossing \(3, 1, 1, 1\) does not leave"):
-        block_story(story, 2)
+    assert story.violations() == ["phase 3: (3, 1, 1, 1) does not leave block 2"]
     BlockStory(block=2, entries=(d[1], d[2])).check()
 
 
