@@ -9,11 +9,19 @@ Subcommands::
     tmlab normalize MACHINE [--max-steps T] [--json]
 
 Exit codes: 0 accepted/valid, 1 rejected, 2 resource cap exceeded,
-64 bad usage, 65 invalid machine/story data, 66 unreadable input file.
+64 bad usage, 65 invalid machine/story data (or a file that is not UTF-8),
+66 unreadable input file.
 
 ``main(argv)`` may be called repeatedly in one process.  Its argument parser
 is built on the first call and reused by every later one; importing this
-module builds none.
+module builds none.  A plain question (``run``, ``crossings`` or ``mstar``
+with exact option names, each at most once, one machine path and no value
+starting with ``-``) is read straight from the parser's actions without
+running it (:mod:`tmlab.plain_argv`); any other argv, and every usage
+error, goes through argparse.  The machine of each question is parsed
+through a per-process cache keyed by the file's text, holding the last 64
+texts.  The file is read on every question, so an edited file is parsed
+afresh.
 """
 
 from __future__ import annotations
@@ -66,6 +74,9 @@ def _read(path: str) -> str:
     except OSError as err:
         print(f"tmlab: cannot read {path}: {err}", file=sys.stderr)
         raise SystemExit(EXIT_NOINPUT)
+    except UnicodeDecodeError as err:
+        print(f"tmlab: {path}: {err}", file=sys.stderr)
+        raise SystemExit(EXIT_DATA)
 
 
 def _usage(message: str):
@@ -73,10 +84,20 @@ def _usage(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
+@functools.lru_cache(maxsize=64)
+def _parse_text(text: str):
+    """:func:`parse_machine`, once per distinct text in this process.
+
+    Exact, since the same text always gives the same machine, and parsed
+    machines are never mutated.  A text that fails to parse is not cached.
+    """
+    return parse_machine(text)
+
+
 def _load_machine(path: str, w: str, n: Optional[int] = None):
     """Parse the machine file; check ``w`` against its alphabet and scale ``n``."""
     try:
-        machine = parse_machine(_read(path))
+        machine = _parse_text(_read(path))
     except MachineFormatError as err:
         print(f"tmlab: {path}: {err}", file=sys.stderr)
         raise SystemExit(EXIT_DATA)
@@ -282,8 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    from .plain_argv import plain_question  # not at import: see its docstring
+
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = plain_question(parser, argv) or parser.parse_args(argv)
     return args.func(args)
 
 

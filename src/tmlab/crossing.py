@@ -44,13 +44,7 @@ class RegionExceeded(ValueError):
 
 
 class StoryStructureError(ValueError):
-    """A history/story fails a structural requirement; names the phase."""
-
-    def __init__(self, message, phase=None):
-        self.phase = phase
-        if phase is not None:
-            message = f"phase {phase}: {message}"
-        super().__init__(message)
+    """A history/story fails a structural requirement; the message names the phase."""
 
 
 @dataclass(frozen=True)
@@ -240,21 +234,20 @@ class BlockStory:
         leave through the wrong milestone is rejected when it runs.
         """
         if len(self.entries) % 2 != 0:
-            raise StoryStructureError(f"block {self.block}: odd number of descriptors",
-                                      phase=self.entries[-1].phase)
+            raise StoryStructureError(f"phase {self.entries[-1].phase}: block {self.block}: "
+                                      "odd number of descriptors")
         for d_in, d_out in self.pairs():
             try:
                 framed = validate_descriptor_pair(d_in, d_out)
             except InconsistentDescriptors as err:
-                raise StoryStructureError(f"block {self.block}: {err}", phase=d_in.phase) from None
+                raise StoryStructureError(f"phase {d_in.phase}: block {self.block}: {err}") from None
             if framed != self.block:
-                raise StoryStructureError(
-                    f"block {self.block}: visit at phase {d_in.phase} frames block {framed}",
-                    phase=d_in.phase)
+                raise StoryStructureError(f"phase {d_in.phase}: block {self.block}: "
+                                          f"visit at phase {d_in.phase} frames block {framed}")
         for a, b in zip(self.entries, self.entries[1:]):
             if b.phase <= a.phase:
-                raise StoryStructureError(
-                    f"block {self.block}: phase numbers must strictly increase", phase=b.phase)
+                raise StoryStructureError(f"phase {b.phase}: block {self.block}: "
+                                          "phase numbers must strictly increase")
 
 
 def block_story(hist: History, j: int) -> BlockStory:

@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmlab import (
@@ -25,7 +25,8 @@ from tmlab import (
     validate_normal_form,
     verify_story,
 )
-from tmlab.cli import main
+from tmlab.cli import _parse_text, build_parser, main
+from tmlab.plain_argv import QUESTIONS, plain_question
 from tmlab.reporting import report_from_json, story_from_dict, story_to_dict
 
 from conftest import all_inputs, scale_for
@@ -40,9 +41,11 @@ def machine_file(tmp_path):
     return write
 
 
-def run_cli(capsys, *argv):
+def run_cli(capsys, *argv, script=False):
+    """Exit code, stdout and stderr of one ``main`` call; with ``script``
+    it is called as the console script calls it, with no argv."""
     try:
-        code = main(list(argv))
+        code = main() if script else main(list(argv))
     except SystemExit as exc:
         code = exc.code
     out = capsys.readouterr()
@@ -75,6 +78,20 @@ def test_validate_empty_file(tmp_path, capsys):
 def test_missing_file_exits_66(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/machine.tm")
     assert code == 66 and "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "normalize", "mstar --story"])
+def test_file_that_is_not_utf8_exits_65(machine_file, tmp_path, capsys, command):
+    bad = tmp_path / "bad.tm"
+    bad.write_bytes(b"states 2\n\xff\n")
+    argv = {"run": ["run", str(bad), "--max-steps", "4"],
+            "validate": ["validate", str(bad)],
+            "normalize": ["normalize", str(bad)],
+            "mstar --story": ["mstar", machine_file("palindrome"), "--input", "aba",
+                              "-n", "3", "--story", str(bad)]}[command]
+    code, out, err = run_cli(capsys, *argv)  # any exception but SystemExit fails here
+    assert code == 65 and out == ""
+    assert err.startswith(f"tmlab: {bad}: ") and "utf-8" in err
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +492,20 @@ def test_second_main_call_builds_no_parser(machine_file, capsys, monkeypatch):
     assert built == []
 
 
+def test_console_script_reads_sys_argv(machine_file, tmp_path, capsys, monkeypatch):
+    # the tmlab script calls main() with no argv
+    sweep, story = sweep_story(machine_file, tmp_path, capsys)
+    head = [sweep, "--input", "abab"]
+    for argv in (["run", *head, "--max-steps", "16", "--json"],
+                 ["crossings", *head, "-n", "4"],
+                 ["mstar", *head, "-n", "4", "--json"],
+                 ["mstar", *head, "-n", "4", "--story", story],
+                 ["run", *head]):
+        want = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["tmlab", *argv])
+        assert run_cli(capsys, script=True) == want, argv
+
+
 def test_importing_the_cli_builds_no_parser():
     probe = (
         "import argparse\n"
@@ -484,14 +515,130 @@ def test_importing_the_cli_builds_no_parser():
         "    built.append(self)\n"
         "    init(self, *args, **kwargs)\n"
         "argparse.ArgumentParser.__init__ = counting_init\n"
-        "import tmlab.cli\n"
-        "print(len(built))\n"
+        "import sys, tmlab.cli\n"
+        "print(len(built), 'tmlab.plain_argv' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out == "0\n"
+    assert out == "0 False\n"
+
+
+# ---------------------------------------------------------------------------
+# plain questions read without argparse
+
+REQUIRED = {"run": "--max-steps", "crossings": "-n", "mstar": "-n"}
+OPTIONS = ["--input", "--json", "--node-cap", "--max-steps", "-n", "--story"]
+NEAR_MISSES = ["--inp", "--max", "--input=ab", "--", "-h", "--help", "validate", "normalize"]
+VALUES = ["-1", "+4", " 5", "", "-n", "3", "0", "ab", "m.tm"]
+
+
+def argparse_namespace(argv):
+    """``build_parser().parse_args(argv)``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@st.composite
+def near_plain_argvs(draw):
+    """A question command with its required option and some of its others,
+    each with a value where it takes one, a machine path, and up to two
+    stray tokens, all in some order."""
+    command = draw(st.sampled_from(list(REQUIRED)))
+    others = ["--input", "--json", "--node-cap"] + (["--story"] if command == "mstar" else [])
+    others = draw(st.permutations(others))[:draw(st.integers(0, len(others)))]
+    values = st.one_of(st.sampled_from(VALUES), st.sampled_from(["3", "+4", " 5"]))
+    groups = [[option] if option == "--json" else [option, draw(values)]
+              for option in draw(st.permutations([REQUIRED[command], *others]))]
+    strays = st.sampled_from(OPTIONS + NEAR_MISSES + VALUES)
+    for token in ["m.tm", *draw(st.lists(strays, max_size=2))]:
+        groups.insert(draw(st.integers(0, len(groups))), [token])
+    return [command, *(token for group in groups for token in group)]
+
+
+any_argvs = st.lists(st.sampled_from([*QUESTIONS, *OPTIONS, *NEAR_MISSES, *VALUES]), max_size=8)
+
+
+@given(st.one_of(near_plain_argvs(), any_argvs,
+                 st.tuples(st.sampled_from(QUESTIONS), any_argvs).map(lambda t: [t[0], *t[1]])))
+@example(["run", "m.tm", "--input", "-n", "--max-steps", "3"])  # a value that is an option
+@example(["run", "--max-steps", "3", "--inp"])  # an abbreviation where the path would be
+@example(["run", "--max-steps", "3", "-h"])
+@example(["run", "a.tm", "--max-steps", "3", "b.tm"])  # two paths
+@settings(max_examples=600, deadline=None)
+def test_plain_question_reader_agrees_with_argparse(argv):
+    fast = plain_question(build_parser(), argv)
+    assert fast is None or fast == argparse_namespace(argv), argv
+
+
+def test_plain_questions_skip_argparse(machine_file, tmp_path, capsys, monkeypatch):
+    sweep, story = sweep_story(machine_file, tmp_path, capsys)
+    head = [sweep, "--input", "abab", "--node-cap", "6000"]
+    argvs = [["run", *head, "--max-steps", "16", "--json"],
+             ["crossings", *head, "-n", "4", "--json"],
+             ["mstar", *head, "-n", "4", "--json"],
+             ["mstar", "--story", story, "-n", "4", *head]]
+    answers = [run_cli(capsys, *argv) for argv in argvs]
+    for argv in argvs:
+        assert plain_question(build_parser(), argv) == argparse_namespace(argv) is not None
+
+    def no_argparse(self, *args, **kwargs):
+        raise AssertionError("argparse ran")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", no_argparse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == answers
+    assert [code for code, _, _ in answers] == [0, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the per-process parse cache
+
+
+def test_edited_machine_file_is_parsed_afresh(tmp_path, capsys):
+    path = tmp_path / "edited.tm"
+    argv = ["run", str(path), "--input", "ab", "--max-steps", "40", "--json"]
+    path.write_text(corpus_text("always_accept"), encoding="utf-8")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and report_from_json(out).machine == "always_accept"
+    path.write_text(corpus_text("palindrome"), encoding="utf-8")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and report_from_json(out).machine == "palindrome"
+
+
+def test_two_files_with_one_text_give_one_answer(tmp_path, capsys):
+    answers = []
+    for name in ("first.tm", "second.tm"):
+        path = tmp_path / name
+        path.write_text(corpus_text("guesser"), encoding="utf-8")
+        answers.append(run_cli(capsys, "mstar", str(path), "--input", "aaaa", "-n", "4", "--json"))
+    hits = _parse_text.cache_info().hits
+    answers.append(run_cli(capsys, "mstar", str(path), "--input", "aaaa", "-n", "4", "--json"))
+    assert _parse_text.cache_info().hits == hits + 1
+    assert answers[0][0] == 0 and answers[0] == answers[1] == answers[2]
+
+
+def test_invalid_machine_file_exits_65_on_every_call(tmp_path, capsys):
+    path = tmp_path / "bad.tm"
+    path.write_text("states 4\nalphabet 0 a\ndet 3 a move R 0\nnondet 3 1 2\n")
+    answers = [run_cli(capsys, "run", str(path), "--max-steps", "4") for _ in range(3)]
+    assert answers[0][0] == 65 and "mixed-state" in answers[0][2]
+    assert answers[0] == answers[1] == answers[2]
+
+
+def test_parse_cache_stays_within_its_bound(tmp_path, capsys):
+    bound = _parse_text.cache_info().maxsize
+    for i in range(bound + 6):
+        path = tmp_path / f"m{i}.tm"
+        path.write_text(corpus_text("always_accept").replace("machine always_accept",
+                                                             f"machine m{i}"),
+                        encoding="utf-8")
+        code, out, _ = run_cli(capsys, "run", str(path), "--max-steps", "2", "--json")
+        assert code == 0 and report_from_json(out).machine == f"m{i}"
+    assert _parse_text.cache_info().currsize <= bound == 64
 
 
 # ---------------------------------------------------------------------------
