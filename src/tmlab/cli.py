@@ -120,7 +120,7 @@ def cmd_validate(args) -> int:
     try:
         machine = parse_machine(_read(args.machine))
     except MachineFormatError as err:
-        print(str(err))
+        print(f"tmlab: {args.machine}: {err}", file=sys.stderr)
         return EXIT_DATA
     print(f"{machine.name}: ok ({machine.state_count} states, "
           f"{len(machine.rules)} rules, {len(machine.branches)} branch states)")
@@ -216,6 +216,9 @@ def cmd_mstar(args) -> int:
         if result.failed_phase is not None:
             text += (f" (block {result.failed_block}, phase {result.failed_phase}: "
                      f"{result.reject_reason.value})")
+        if result.complete_walk_P is not None:
+            text += (f" (no computation accepts within {result.budget} steps: "
+                     f"the walk for P={result.complete_walk_P} is complete)")
     _emit(report, args.json, text)
     return EXIT_ACCEPT if result.accepted else EXIT_REJECT
 

@@ -23,6 +23,13 @@ is charged once per phase run in search and in verification alike.  The
 walk prunes prefixes whose phases cannot be realized at all, which never
 changes which story is found first, and the winner is re-verified
 through the block-by-block pipeline to produce the reported result.
+
+A walk that finds no story, and whose last level has no prefix left to
+extend, is not cut by the phase bound: the ``n**2`` budget (a content is
+dropped only when its steps plus the other blocks' fewest steps exceed
+it) ended every computation, which does not depend on ``P``.  So no first
+block length accepts, and the search rejects at once, naming that walk's
+``P`` in ``MStarResult.complete_walk_P``.
 """
 
 from __future__ import annotations
@@ -131,6 +138,7 @@ class MStarResult:
     failed_phase: Optional[int] = None               # deepest visit of failed_block no chain passed
     reject_reason: Optional[RejectReason] = None     # why that visit's first outcome was rejected
     budget_exhausted: bool = False
+    complete_walk_P: Optional[int] = None            # P whose uncut, empty walk ended the search
 
 
 def story_from_history(history: History) -> StoryGuess:
@@ -320,8 +328,10 @@ class _StorySearch:
         many phases the story will have, so the first prefix that can close
         on the shallowest level is the first story in canonical order, and
         each prefix is examined once.  Returns the descriptors of phases
-        ``2..k`` and the fewest steps that realize them.
+        ``2..k`` and the fewest steps that realize them; ``self.cut`` says
+        whether a last-level prefix had an exit the phase bound cut off.
         """
+        self.cut = False
         level = [(1, OPENER, {}, [])]   # block, in-crossing, frontier per visited block, prefix
         for phase in range(1, kmax):
             children = []
@@ -338,12 +348,13 @@ class _StorySearch:
                     closer = Descriptor(phase=phase + 1, milestone=0, state=1, delta=LEFT)
                     steps = others + min(steps for steps, _, _ in closing.values())
                     return prefix + [closer], steps
-                if phase == kmax - 1:
-                    continue  # the last level only closes
                 # the tape edge is no milestone: only the accepting closer may use it
+                moves = [(delta, state) for delta, state in exits if block > 1 or delta == RIGHT]
+                if phase == kmax - 1:
+                    self.cut = self.cut or bool(moves)  # the last level only closes: moves are cut
+                    continue
                 for milestone, state, delta in sorted((exit_milestone(block, delta), state, delta)
-                                                      for delta, state in exits
-                                                      if block > 1 or delta == RIGHT):
+                                                      for delta, state in moves):
                     nxt = Descriptor(phase=phase + 1, milestone=milestone, state=state, delta=delta)
                     children.append((block + delta, nxt, {**frontiers, block: exits[delta, state]},
                                      prefix + [nxt]))
@@ -360,7 +371,9 @@ def simulate_mstar(m: Machine, w: str, n: int, max_phases: Optional[int] = None,
     Equivalent, by construction, to asking whether the direct bounded
     search accepts within ``n**2`` steps using at most ``max(2, n)`` phases
     under some first-block length: the enumeration is pruned by phase
-    realizability, which cannot skip a verifiable story.  Raises
+    realizability, which cannot skip a verifiable story.  It rejects at the
+    first empty walk the phase bound did not cut: there the ``n**2`` budget
+    ended every computation, and no ``P`` changes a computation.  Raises
     :class:`ResourceCapExceeded` when the search effort passes ``node_cap``.
     """
     if n < 1:
@@ -376,15 +389,17 @@ def simulate_mstar(m: Machine, w: str, n: int, max_phases: Optional[int] = None,
     search = _StorySearch(m, w, n, budget, node_cap)
     for P in range(1, n + 1):
         found = search.find(P, kmax)
-        if found is None:
-            continue
-        descriptors, steps = found
-        guess = _story(n, P, descriptors)
-        result = verify_story(m, w, guess, budget, node_cap=node_cap)
-        assert result.accepted, "search found a story the verifier rejects"
-        assert result.phase_steps == steps, \
-            "search and verifier disagree on the cheapest realization"
-        return replace(result, wall_stats=search.prefixes)
-    return MStarResult(accepted=False, winning=None, sim_time=None, sim_space=None,
-                       descriptor_constant=descriptor_constant(m),
-                       wall_stats=search.prefixes, budget=budget)
+        if found is not None or not search.cut:  # an uncut walk that finds nothing ends it
+            break
+    if found is None:
+        return MStarResult(accepted=False, winning=None, sim_time=None, sim_space=None,
+                           descriptor_constant=descriptor_constant(m),
+                           wall_stats=search.prefixes, budget=budget,
+                           complete_walk_P=None if search.cut else P)
+    descriptors, steps = found
+    guess = _story(n, P, descriptors)
+    result = verify_story(m, w, guess, budget, node_cap=node_cap)
+    assert result.accepted, "search found a story the verifier rejects"
+    assert result.phase_steps == steps, \
+        "search and verifier disagree on the cheapest realization"
+    return replace(result, wall_stats=search.prefixes)

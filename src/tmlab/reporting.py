@@ -160,4 +160,6 @@ def mstar_resources(result: MStarResult) -> dict:
     if result.failed_phase is not None:
         out["failed_phase"] = result.failed_phase
         out["reject_reason"] = result.reject_reason.value
+    if result.complete_walk_P is not None:
+        out["complete_walk_P"] = result.complete_walk_P
     return out

@@ -64,15 +64,17 @@ def test_validate_corpus_file(machine_file, capsys):
 def test_validate_mixed_state_file(tmp_path, capsys):
     path = tmp_path / "bad.tm"
     path.write_text("states 4\nalphabet 0 a\ndet 3 a move R 0\nnondet 3 1 2\n")
-    code, out, _ = run_cli(capsys, "validate", str(path))
-    assert code == 65 and "mixed-state" in out
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 65 and out == ""
+    assert err.startswith(f"tmlab: {path}: ") and "mixed-state" in err
 
 
 def test_validate_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.tm"
     path.write_text("")
-    code, out, _ = run_cli(capsys, "validate", str(path))
-    assert code == 65 and "empty" in out
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 65 and out == ""
+    assert err.startswith(f"tmlab: {path}: ") and "empty" in err
 
 
 def test_missing_file_exits_66(capsys):
@@ -278,6 +280,22 @@ def test_mstar_json_carries_constants(machine_file, capsys):
     assert report.constants["descriptor_constant"] >= 3
     assert report.constants["time_constant"] > 0
     assert report.resources["sim_time"] <= report.constants["time_constant"] * 16 + 1e-9
+
+
+def test_mstar_rejection_names_the_complete_walk(machine_file, capsys):
+    argv = ["mstar", machine_file("palindrome"), "--input", "ab", "-n", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["schema"] == 1 and data["resources"]["complete_walk_P"] == 1
+    assert report_from_json(out).to_dict() == data
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert "(no computation accepts within 9 steps: the walk for P=1 is complete)" in out
+    # a walk cut by the phase bound proves nothing, and the key is left out
+    code, out, _ = run_cli(capsys, "mstar", machine_file("palindrome"), "--input", "ab",
+                           "-n", "2", "--json")
+    assert code == 1 and "complete_walk_P" not in json.loads(out)["resources"]
 
 
 def test_mstar_story_verify_mode(machine_file, tmp_path, capsys):

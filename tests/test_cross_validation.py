@@ -27,6 +27,10 @@ def test_random_machines_agree_with_direct(seed_base):
         story = simulate_mstar(m, w, n, max_phases=n * n + 1, node_cap=60_000)
         cases += 1
         assert direct.accepted == story.accepted, (m.name, w, n)
+        # a complete walk settles a rejection at either bound
+        bounded = simulate_mstar(m, w, n, node_cap=60_000)
+        for result in (story, bounded):
+            assert result.complete_walk_P is None or not direct.accepted, (m.name, w, n)
 
 
 def test_default_phase_bound_is_the_only_incompleteness():
@@ -64,5 +68,6 @@ det 1 b move L 1
     assert lifted.winning.k == 4
     bounded = simulate_mstar(m, w, n)
     assert not bounded.accepted
+    assert bounded.complete_walk_P is None  # every walk is cut, so every P is tried
     # at any even scale the bound is provably safe; n=4 covers k=4
     assert simulate_mstar(m, "aaa", 4).accepted == run_direct(m, "aaa", 16).accepted == True

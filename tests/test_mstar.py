@@ -238,15 +238,65 @@ def test_mstar_wall_stats_counts_search_effort(corpus):
 
 
 def test_mstar_examines_each_prefix_once_per_first_block_length(corpus):
-    # a deterministic machine realizes at most one prefix per phase, so an
-    # exhausted search examines at most one prefix per phase per P
+    # a deterministic machine realizes at most one prefix per phase; this
+    # one halts long before the last phase level, so the walk for P = 1 is
+    # complete and it alone settles the rejection
     half = "abbabaababbabaab"
     w = half + half[::-1]
     w = w[:8] + "b" + w[9:]  # no longer a palindrome
     n = kmax = 32
     result = simulate_mstar(corpus["palindrome"], w, n)
     assert not result.accepted
-    assert result.wall_stats <= n * (kmax - 1)
+    assert result.complete_walk_P == 1
+    assert result.wall_stats <= kmax - 1
+
+
+def test_mstar_rejects_at_once_when_no_rule_leaves_the_start_state():
+    m = parse_machine("states 2\nalphabet 0 a\ndet 1 a move L 1\ndet 1 0 move L 1\n")
+    result = simulate_mstar(m, "aa", 3)
+    assert not result.accepted
+    assert (result.complete_walk_P, result.wall_stats) == (1, 1)
+
+
+CUT_THEN_HALT = """\
+states 7
+alphabet 0 a
+nondet 0 2 3
+det 2 0 move R 4
+det 3 0 move R 5
+det 4 0 move R 6
+det 6 0 move L 1
+det 1 0 move L 1
+"""
+
+
+def test_one_cut_prefix_on_the_last_level_keeps_the_walk_incomplete():
+    # at n = 3 and P = 1 the last level holds two prefixes in block 2: state
+    # 4's still has an exit back into block 1, and state 5's halts. The first
+    # cuts the walk, though the last does not, so P = 3, where the same run
+    # accepts in 2 phases, is still reached
+    m = parse_machine(CUT_THEN_HALT)
+    result = simulate_mstar(m, "", 3)
+    assert result.accepted and (result.winning.P, result.winning.k) == (3, 2)
+    assert result.complete_walk_P is None
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=200, deadline=None)
+def test_complete_walk_means_no_run_and_no_story_accepts(seed):
+    # a walk the phase bound did not cut has followed every computation to
+    # its end, so neither direct search nor any story within the same bound
+    # may accept; an accepting later P would expose a cut walk called complete
+    rng = random.Random(seed)
+    m = random_machine(rng, max_states=4)
+    m = dataclasses.replace(m, rules={**m.rules, **{
+        (1, s): DetRule(next_state=1, move=LEFT) for s in m.alphabet}})
+    w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+    n = max(len(w), rng.randint(2, 4))
+    got = simulate_mstar(m, w, n)
+    if got.complete_walk_P is not None:
+        assert not run_direct(m, w, n * n).accepted
+        assert first_verified_story(m, w, n, kmax=max(2, n)) is None
 
 
 THREE_WAY_GUESS = """\
