@@ -1,17 +1,18 @@
 """End-to-end story search: low space, linear-factor time overhead.
 
 The simulator guesses a story (first-block length, phase count, and the
-crossing descriptors) and verifies every block independently.  Because a
-verified story's implications chain into "the accepting exit is
-realizable", acceptance of a story is sound; and any run acceptable in
-n^2 steps with at most max(2, n) phases under some partition has its true
-story in the enumeration, so the search agrees with direct simulation.
+crossing descriptors) and verifies every block independently.  Each
+checked block turns one implication between milestone crossings true, and
+chained they reduce to "the accepting exit is realizable" (the argument is
+in ``verify_story``'s docstring), so acceptance of a story is sound; and
+any run acceptable in n^2 steps with at most max(2, n) phases under some
+partition has its true story in the enumeration, so the search agrees with
+direct simulation.
 """
 
 from tmlab import (
     Outcome,
     corpus_machines,
-    implication_chain,
     run_direct,
     run_with_choices,
     simulate_mstar,
@@ -45,11 +46,3 @@ concat = [c for phase in s.witness_choices for c in phase]
 tr = run_with_choices(machines["guesser"], "aaaa", concat, max_time=s.budget)
 print(f"  replay outcome: {tr.outcome.value}, time {tr.usage.time} = phase steps {s.phase_steps}")
 assert tr.outcome is Outcome.ACCEPTED
-
-print("\n=== the implication chain the block verdicts feed ===")
-report = implication_chain(g, [True] * g.r)
-for imp in report.implications:
-    a, b = imp.antecedent, imp.succedent
-    print(f"  {a[0]} and {a[1]}  ->  {b[0]} and {b[1]}   [holds: {imp.holds}]")
-print(f"  every interior side occurs once per role: {report.occurrence_ok}")
-print(f"  chain reduces to: {report.reduced}  (sound: {report.sound})")

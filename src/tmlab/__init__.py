@@ -17,7 +17,6 @@ from .ntm_core import (
     DetRule,
     GeneralMachine,
     GeneralRule,
-    Halt,
     HaltReason,
     Machine,
     MachineFormatError,
@@ -25,7 +24,6 @@ from .ntm_core import (
     Outcome,
     ResourceCapExceeded,
     Trace,
-    initial_configuration,
     machine_to_text,
     normalize,
     parse_general_machine,
@@ -33,7 +31,6 @@ from .ntm_core import (
     run_direct,
     run_direct_general,
     run_with_choices,
-    step,
     validate_normal_form,
 )
 from .crossing import (
@@ -61,7 +58,6 @@ from .mstar import (
     MStarResult,
     StoryGuess,
     descriptor_constant,
-    implication_chain,
     simulate_mstar,
     story_from_history,
     verify_story,

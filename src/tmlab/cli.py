@@ -116,6 +116,16 @@ def _emit(report: RunReport, as_json: bool, text: str):
         print(text)
 
 
+def _capped(args, machine, mode: str, err: Exception, n: Optional[int] = None) -> int:
+    """Report a question the node cap stopped, or a huge scale's table that cannot be
+    allocated (MemoryError, or OverflowError past an index size): undecided, not rejected."""
+    why = str(err) if isinstance(err, ResourceCapExceeded) else "out of memory"
+    report = RunReport(machine=machine.name, input=args.input, mode=mode,
+                       verdict="resource-cap", n=n, notes=why)
+    _emit(report, args.json, f"resource cap exceeded: {why}")
+    return EXIT_RESOURCE
+
+
 def cmd_validate(args) -> int:
     try:
         machine = parse_machine(_read(args.machine))
@@ -131,11 +141,8 @@ def cmd_run(args) -> int:
     machine = _load_machine(args.machine, args.input)
     try:
         result = run_direct(machine, args.input, args.max_steps, node_cap=args.node_cap)
-    except ResourceCapExceeded as err:
-        report = RunReport(machine=machine.name, input=args.input, mode="direct",
-                           verdict="resource-cap", notes=str(err))
-        _emit(report, args.json, f"resource cap exceeded: {err}")
-        return EXIT_RESOURCE
+    except (ResourceCapExceeded, MemoryError, OverflowError) as err:
+        return _capped(args, machine, "direct", err)
     resources = {"explored": result.explored, "max_steps": args.max_steps}
     if result.accepted:
         resources.update({"time": result.usage.time, "space": result.usage.space,
@@ -154,20 +161,18 @@ def cmd_crossings(args) -> int:
     n = args.n
     try:
         result = run_direct(machine, args.input, n * n, node_cap=args.node_cap)
-    except ResourceCapExceeded as err:
-        report = RunReport(machine=machine.name, input=args.input, mode="crossings",
-                           verdict="resource-cap", n=n, notes=str(err))
-        _emit(report, args.json, f"resource cap exceeded: {err}")
-        return EXIT_RESOURCE
+        if result.accepted:
+            lemma = check_phase_lemma(result.witness, n)
+            history = extract_history(result.witness, partition_for_trace(result.witness, lemma.best_P, n))
+            story = story_to_dict(story_from_history(history))
+    except (ResourceCapExceeded, MemoryError, OverflowError) as err:
+        return _capped(args, machine, "crossings", err, n)
     if not result.accepted:
         report = RunReport(machine=machine.name, input=args.input, mode="crossings",
                            verdict="rejected", n=n, k_table=[],
                            notes=f"no accepting run within {n * n} steps")
         _emit(report, args.json, f"rejected: no accepting run within {n * n} steps")
         return EXIT_REJECT
-    lemma = check_phase_lemma(result.witness, n)
-    history = extract_history(result.witness, partition_for_trace(result.witness, lemma.best_P, n))
-    story = story_to_dict(story_from_history(history))
     lemma_dict = lemma_to_dict(lemma)
     report = RunReport(machine=machine.name, input=args.input, mode="crossings",
                        verdict="accepted", n=n,
@@ -194,11 +199,8 @@ def cmd_mstar(args) -> int:
     except (StoryFormatError, InvalidStoryError) as err:
         print(f"tmlab: {args.story}: {err}", file=sys.stderr)
         return EXIT_DATA
-    except ResourceCapExceeded as err:
-        report = RunReport(machine=machine.name, input=args.input, mode=mode,
-                           verdict="resource-cap", n=n, notes=str(err))
-        _emit(report, args.json, f"resource cap exceeded: {err}")
-        return EXIT_RESOURCE
+    except (ResourceCapExceeded, MemoryError, OverflowError) as err:
+        return _capped(args, machine, mode, err, n)
     constants = {"descriptor_constant": result.descriptor_constant}
     if result.accepted:
         constants["time_constant"] = result.sim_time / (result.winning.n ** 2)

@@ -32,13 +32,9 @@ def load_corpus_machine(name: str) -> Machine:
     return parse_machine(corpus_text(name))
 
 
-def load_general_corpus_machine(name: str) -> GeneralMachine:
-    return parse_general_machine(corpus_text(name))
-
-
 def corpus_machines() -> dict[str, Machine]:
     return {name: load_corpus_machine(name) for name in CORPUS_MACHINES}
 
 
 def general_corpus_machines() -> dict[str, GeneralMachine]:
-    return {name: load_general_corpus_machine(name) for name in GENERAL_CORPUS_MACHINES}
+    return {name: parse_general_machine(corpus_text(name)) for name in GENERAL_CORPUS_MACHINES}

@@ -419,7 +419,7 @@ def check_phase_lemma(trace: Trace, n: int) -> LemmaReport:
     per_P = {P: 1 + crossed[P - 1] + edge_seen for P in range(1, n + 1)}
     total = sum(per_P.values())
     best_P = min(per_P, key=lambda P: (per_P[P], P))
-    edge_exit = trace.halt is not None and trace.halt.reason is not HaltReason.NO_RULE
+    edge_exit = trace.halt in (HaltReason.ACCEPTING_EXIT, HaltReason.LEFT_EDGE)
     if edge_exit:
         moves -= 1  # the halting attempt completes no move
     crossings = moves + (n if edge_exit else 0)

@@ -53,6 +53,7 @@ from .ntm_core import (
     NodeBudget,
     RIGHT,
     Machine,
+    input_tape,
 )
 from .phase_sim import RejectReason
 
@@ -202,6 +203,12 @@ def verify_story(m: Machine, w: str, guess: StoryGuess, budget: Optional[int] = 
     cumulative budget of simulated machine steps (default ``n**2``).
     Accepts iff every block's visit chain can be realized within it; the
     result carries the time/space accounting of the accepting branch.
+
+    Why that suffices: with ``S_j^±`` milestone ``j``'s right/left-going
+    crossings, checking block ``j+1`` gives ``S_j^+ ∧ S_{j+1}^- ⇒ S_j^- ∧
+    S_{j+1}^+`` (vacuous at ``j = r``).  Chained, each interior side occurs
+    once on each side and cancels, leaving ``S_0^+ → S_0^-``; the opener
+    ``S_0^+`` holds by definition, so the accepting exit is realizable.
     """
     problems = guess.violations(m)
     if len(w) > guess.n:
@@ -237,68 +244,6 @@ def verify_story(m: Machine, w: str, guess: StoryGuess, budget: Optional[int] = 
     witness = tuple(choices_by_phase.get(p, ()) for p in range(1, guess.k))
     return MStarResult(accepted=True, winning=guess, wall_stats=1, budget=budget,
                        witness_choices=witness, **_accounting(m, guess, total_steps))
-
-
-# ---------------------------------------------------------------------------
-# the implication chain behind story verification
-
-
-@dataclass(frozen=True)
-class Implication:
-    """``S_j^+ and S_{j+1}^- imply S_j^- and S_{j+1}^+`` for one ``j``."""
-
-    index: int
-    antecedent: tuple[str, str]
-    succedent: tuple[str, str]
-    holds: bool
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    implications: tuple[Implication, ...]
-    occurrence_ok: bool   # every interior side occurs once per role
-    reduced: str
-    sound: bool
-
-
-def implication_chain(guess: StoryGuess, block_verdicts: list[bool]) -> ChainReport:
-    """Materialize the elimination chain that block verdicts feed.
-
-    Implication ``j`` (0-based, ``j = 0..r``) is established by checking
-    block ``j+1``; the last one is vacuous because milestone ``r+1`` has no
-    crossings.  When every verdict holds, eliminating each interior
-    ``S_j^+``/``S_j^-`` pair reduces the chain to ``S_0^+ -> S_0^-``: the
-    opening crossing is true by definition, so the accepting exit is
-    realizable.
-    """
-    r = guess.r
-    if len(block_verdicts) != r:
-        raise ValueError(f"expected {r} block verdicts, got {len(block_verdicts)}")
-    implications = []
-    for j in range(r + 1):
-        holds = block_verdicts[j] if j < r else True
-        implications.append(Implication(
-            index=j,
-            antecedent=(f"S_{j}^+", f"S_{j + 1}^-"),
-            succedent=(f"S_{j}^-", f"S_{j + 1}^+"),
-            holds=holds,
-        ))
-    antecedents: dict[str, int] = {}
-    succedents: dict[str, int] = {}
-    for imp in implications:
-        for name in imp.antecedent:
-            antecedents[name] = antecedents.get(name, 0) + 1
-        for name in imp.succedent:
-            succedents[name] = succedents.get(name, 0) + 1
-    occurrence_ok = all(
-        antecedents.get(f"S_{j}^{sign}", 0) == 1 and succedents.get(f"S_{j}^{sign}", 0) == 1
-        for j in range(1, r + 1) for sign in "+-")
-    return ChainReport(
-        implications=tuple(implications),
-        occurrence_ok=occurrence_ok,
-        reduced="S_0^+ -> S_0^-",
-        sound=all(block_verdicts),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +325,7 @@ def simulate_mstar(m: Machine, w: str, n: int, max_phases: Optional[int] = None,
         raise ValueError("scale n must be >= 1")
     if len(w) > n:
         raise ValueError(f"scale n must be at least the input length ({len(w)})")
-    for s in w:
-        if s not in m.alphabet:
-            raise ValueError(f"input symbol {s!r} not in machine alphabet")
+    input_tape(m, w)  # rejects symbols outside the alphabet
     budget = n * n
     kmax = max_phases if max_phases is not None else max(2, n)
 

@@ -15,6 +15,10 @@ The machine model used throughout this package:
 Every applied rule costs one unit of time, including branch picks and the
 final halting move attempt.  Space is the number of distinct cells the
 head visits.
+
+:func:`run_with_choices` replays one computation in place and
+:func:`search_configurations` walks them all level by level; the tests'
+oracles keep their own copy that steps one configuration at a time.
 """
 
 from __future__ import annotations
@@ -102,12 +106,6 @@ class Machine:
     alphabet: tuple[str, ...]
     rules: dict[tuple[int, str], DetRule] = field(default_factory=dict)
     branches: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def is_branch_state(self, state: int) -> bool:
-        return state in self.branches
-
-    def rule_for(self, state: int, symbol: str) -> Optional[DetRule]:
-        return self.rules.get((state, symbol))
 
     @cached_property
     def actions(self) -> dict[tuple[int, str], tuple[int, int, Optional[str]]]:
@@ -302,7 +300,7 @@ def machine_to_text(m: Machine) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configurations and single steps
+# configurations and halts
 
 
 @dataclass(frozen=True)
@@ -313,12 +311,6 @@ class Configuration:
     head: int
     tape: dict[int, str] = field(default_factory=dict)
 
-    def read(self, cell: int) -> str:
-        return self.tape.get(cell, BLANK)
-
-    def scanned(self) -> str:
-        return self.read(self.head)
-
 
 class HaltReason(enum.Enum):
     ACCEPTING_EXIT = "accepting-exit"   # left-move attempt from cell 1 in state 1
@@ -326,52 +318,11 @@ class HaltReason(enum.Enum):
     NO_RULE = "no-rule"                 # no applicable rule
 
 
-@dataclass(frozen=True)
-class Halt:
-    reason: HaltReason
-
-    @property
-    def accepting(self) -> bool:
-        return self.reason is HaltReason.ACCEPTING_EXIT
-
-
-def _input_tape(m: Machine, w: str) -> dict[int, str]:
+def input_tape(m: Union[Machine, GeneralMachine], w: str) -> dict[int, str]:
     for s in w:
         if s not in m.alphabet:
             raise ValueError(f"input symbol {s!r} not in machine alphabet")
     return {i + 1: s for i, s in enumerate(w)}
-
-
-def initial_configuration(m: Machine, w: str) -> Configuration:
-    return Configuration(state=0, head=1, tape=_input_tape(m, w))
-
-
-def step(m: Machine, c: Configuration, choice: Optional[int] = None) -> Union[Configuration, Halt]:
-    """Apply exactly one rule to ``c``.
-
-    ``choice`` must be given iff ``c.state`` is nondeterministic, and then
-    indexes that state's branch list.
-    """
-    if m.is_branch_state(c.state):
-        succs = m.branches[c.state]
-        if choice is None:
-            raise ValueError(f"state {c.state} is nondeterministic; a branch choice is required")
-        if not (0 <= choice < len(succs)):
-            raise ValueError(f"branch choice {choice} out of range for state {c.state}")
-        return Configuration(state=succs[choice], head=c.head, tape=c.tape)
-
-    if choice is not None:
-        raise ValueError(f"state {c.state} is deterministic; no choice expected")
-    rule = m.rule_for(c.state, c.scanned())
-    if rule is None:
-        return Halt(HaltReason.NO_RULE)
-    if rule.move is not None:
-        if rule.move == LEFT and c.head == 1:
-            return Halt(HaltReason.ACCEPTING_EXIT if c.state == 1 else HaltReason.LEFT_EDGE)
-        return Configuration(state=rule.next_state, head=c.head + rule.move, tape=c.tape)
-    tape = dict(c.tape)
-    tape[c.head] = rule.write
-    return Configuration(state=rule.next_state, head=c.head, tape=tape)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +360,7 @@ class Trace:
     input: str
     steps: tuple[TraceStep, ...]
     outcome: Outcome
-    halt: Optional[Halt]
+    halt: Optional[HaltReason]  # None while the run is still going at the bound
     final: Configuration  # configuration at the moment the run stopped
     usage: ResourceUsage
 
@@ -429,8 +380,9 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
     list, or a sequence that runs out, raises :class:`ValueError`.  The run
     updates one state, head cell and tape in place and records a
     :data:`TraceStep` row per applied rule, building no configuration but
-    the final one; :func:`step` is the same semantics one configuration at
-    a time.  Replaying a witness trace's ``choices`` reproduces it exactly.
+    the final one.  ``Trace.halt`` names the :class:`HaltReason`, or is
+    ``None`` when the run is still going at ``max_time``.  Replaying a
+    witness trace's ``choices`` reproduces it exactly.
     """
     if callable(choices):
         pick = choices
@@ -445,7 +397,7 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
 
     rules = m.rules
     branches = m.branches
-    tape = _input_tape(m, w)
+    tape = input_tape(m, w)
     state = 0
     head = 1
     steps: list[TraceStep] = []
@@ -464,13 +416,13 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
         rule = rules.get((state, tape.get(head, BLANK)))
         if rule is None:
             outcome = Outcome.HALTED_REJECTING
-            halt = Halt(HaltReason.NO_RULE)
+            halt = HaltReason.NO_RULE
             break
         steps.append((state, head, rule))
         if rule.move is not None:
             if rule.move == LEFT and head == 1:
-                halt = Halt(HaltReason.ACCEPTING_EXIT if state == 1 else HaltReason.LEFT_EDGE)
-                outcome = Outcome.ACCEPTED if halt.accepting else Outcome.HALTED_REJECTING
+                halt = HaltReason.ACCEPTING_EXIT if state == 1 else HaltReason.LEFT_EDGE
+                outcome = Outcome.ACCEPTED if state == 1 else Outcome.HALTED_REJECTING
                 break
             head += rule.move
             visited.add(head)
@@ -482,7 +434,7 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
         # rules costs no step, so it must be observable at the bound too.
         if state not in branches and (state, tape.get(head, BLANK)) not in rules:
             outcome = Outcome.HALTED_REJECTING
-            halt = Halt(HaltReason.NO_RULE)
+            halt = HaltReason.NO_RULE
     # A NO_RULE halt applies no rule, so it adds no step; move attempts do.
     usage = ResourceUsage(time=len(steps), space=len(visited))
     return Trace(input=w, steps=tuple(steps), outcome=outcome, halt=halt,
@@ -659,7 +611,7 @@ def run_direct(m: Machine, w: str, max_time: int, node_cap: int = DEFAULT_NODE_C
     """
     if max_time < 0:
         raise ValueError("max_time must be >= 0")
-    _input_tape(m, w)  # rejects symbols outside the alphabet
+    input_tape(m, w)  # rejects symbols outside the alphabet
     work = NodeBudget(node_cap, "direct search")
     found = None
     for stop in search_configurations(m, 0, 0, w, max_time, work=work):
@@ -795,9 +747,7 @@ def run_direct_general(g: GeneralMachine, w: str, max_time: int,
     counts the transitions tried.  Used as the independent oracle when
     testing :func:`normalize`.
     """
-    for s in w:
-        if s not in g.alphabet:
-            raise ValueError(f"input symbol {s!r} not in machine alphabet")
+    input_tape(g, w)  # rejects symbols outside the alphabet
     explored = 0
     level = [(0, 0, w.rstrip(BLANK))]
     seen = set(level)
@@ -835,7 +785,6 @@ class NormalizeResult:
     machine: Machine
     step_blowup: int
     step_overhead: int
-    state_map: dict[int, int]
 
 
 def normalize(g: GeneralMachine, state_cap: int = 10_000) -> NormalizeResult:
@@ -919,7 +868,6 @@ def normalize(g: GeneralMachine, state_cap: int = 10_000) -> NormalizeResult:
         pure = is_pure_choice(q)
         if pure is not None:
             branches[mq] = tuple(state_map[t] for t in pure)
-            max_cost = max(max_cost, 1)
             continue
         for s in g.alphabet:
             alts = g.rules.get((q, s))
@@ -943,7 +891,6 @@ def normalize(g: GeneralMachine, state_cap: int = 10_000) -> NormalizeResult:
         # immediate acceptance: hop into the accept runner on any symbol
         for s in g.alphabet:
             rules[(0, s)] = DetRule(next_state=1, write=s)
-        max_cost = max(max_cost, 1)
 
     # accept runner: sweep left in state 1 until the exit from cell 1
     for s in g.alphabet:
@@ -959,5 +906,4 @@ def normalize(g: GeneralMachine, state_cap: int = 10_000) -> NormalizeResult:
         raise AssertionError("normalize produced an invalid machine: " + "; ".join(map(str, violations)))
     # +1 covers the accept sweep (at most one move per visited cell plus the
     # final attempt); +2 covers acceptance at time zero (funnel write + exit).
-    return NormalizeResult(machine=machine, step_blowup=max_cost + 1, step_overhead=2,
-                           state_map=state_map)
+    return NormalizeResult(machine=machine, step_blowup=max_cost + 1, step_overhead=2)

@@ -93,8 +93,6 @@ def simulate_phase(m: Machine, d_in: Descriptor, d_out: Descriptor, x: str,
     first arrival of an outcome is its cheapest.
     """
     block = validate_descriptor_pair(d_in, d_out)
-    if len(x) < 1:
-        raise ValueError("block content must be nonempty")
     seen: dict[tuple, PhaseOutcome] = {}
     for stop in enumerate_block_runs(m, d_in.state, d_in.delta, x, step_cap,
                                      left_is_edge=(block == 1), work=work):

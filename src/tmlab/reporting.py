@@ -34,17 +34,23 @@ def story_to_dict(guess: StoryGuess) -> dict:
     }
 
 
+def _integer(value: Any) -> int:
+    if type(value) is not int:  # a float, string or bool is no JSON integer
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def story_from_dict(data: Any) -> StoryGuess:
     if not isinstance(data, dict) or data.get("kind") != "story":
         raise StoryFormatError("expected an object with kind 'story'")
-    if data.get("schema") != SCHEMA:
+    if type(data.get("schema")) is not int or data["schema"] != SCHEMA:
         raise StoryFormatError(f"unsupported schema {data.get('schema')!r}")
     try:
-        n, P, r, k = (int(data[f]) for f in ("n", "P", "r", "k"))
+        n, P, r, k = (_integer(data[f]) for f in ("n", "P", "r", "k"))
         raw = data["milestones"]
         milestones = []
         for j, entries in enumerate(raw):
-            descriptors = tuple(Descriptor(int(p), int(jj), int(i), int(d))
+            descriptors = tuple(Descriptor(*map(_integer, (p, jj, i, d)))
                                 for p, jj, i, d in entries)
             milestones.append(MilestoneHistory(milestone=j, entries=descriptors))
     except (KeyError, TypeError, ValueError) as err:

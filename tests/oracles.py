@@ -2,14 +2,16 @@
 
 These deliberately avoid the configuration search, the phase simulator
 and the block checker: runs and block feasibility are decided by running
-the machine on absolute tape cells with :func:`tmlab.step`, enumerating
+the machine on absolute tape cells with :func:`step`, this module's own
+one-configuration-at-a-time copy of the step semantics, enumerating
 every nondeterministic choice sequence.  Phase counts come from replaying
 a trace against each partition, never from the one-pass table of
 :func:`tmlab.check_phase_lemma` they check.  A single computation is
-replayed one :func:`tmlab.step` call at a time, never through the
-in-place loop of :func:`tmlab.run_with_choices`.  The one exception is
+replayed one :func:`step` call at a time, never through the in-place
+loop of :func:`tmlab.run_with_choices`.  The one exception is
 :func:`first_verified_story`, which checks the story *search* against
-the story verifier it trusts.
+the story verifier it trusts; ``test_oracle_independence.py`` keeps
+every other engine out of this module's imports.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from tmlab import (
     BLANK,
     Configuration,
     Descriptor,
     DetRule,
-    Halt,
     HaltReason,
     History,
     LEFT,
@@ -37,13 +38,66 @@ from tmlab import (
     RIGHT,
     StoryGuess,
     Trace,
-    initial_configuration,
     partition_for_trace,
     phase_records,
-    step,
     validate_normal_form,
     verify_story,
 )
+
+
+# ---------------------------------------------------------------------------
+# one step at a time
+
+
+def is_branch_state(m: Machine, state: int) -> bool:
+    return state in m.branches
+
+
+def rule_for(m: Machine, state: int, symbol: str) -> Optional[DetRule]:
+    return m.rules.get((state, symbol))
+
+
+def scanned(c: Configuration) -> str:
+    return c.tape.get(c.head, BLANK)
+
+
+def initial_configuration(m: Machine, w: str) -> Configuration:
+    for s in w:
+        if s not in m.alphabet:
+            raise ValueError(f"input symbol {s!r} not in machine alphabet")
+    return Configuration(state=0, head=1, tape={i + 1: s for i, s in enumerate(w)})
+
+
+def step(m: Machine, c: Configuration, choice: Optional[int] = None) -> Union[Configuration, HaltReason]:
+    """Apply exactly one rule to ``c``: the next configuration, or why the run halts.
+
+    ``choice`` must be given iff ``c.state`` is nondeterministic, and then
+    indexes that state's branch list.
+    """
+    if is_branch_state(m, c.state):
+        succs = m.branches[c.state]
+        if choice is None:
+            raise ValueError(f"state {c.state} is nondeterministic; a branch choice is required")
+        if not (0 <= choice < len(succs)):
+            raise ValueError(f"branch choice {choice} out of range for state {c.state}")
+        return Configuration(state=succs[choice], head=c.head, tape=c.tape)
+
+    if choice is not None:
+        raise ValueError(f"state {c.state} is deterministic; no choice expected")
+    rule = rule_for(m, c.state, scanned(c))
+    if rule is None:
+        return HaltReason.NO_RULE
+    if rule.move is not None:
+        if rule.move == LEFT and c.head == 1:
+            return HaltReason.ACCEPTING_EXIT if c.state == 1 else HaltReason.LEFT_EDGE
+        return Configuration(state=rule.next_state, head=c.head + rule.move, tape=c.tape)
+    tape = dict(c.tape)
+    tape[c.head] = rule.write
+    return Configuration(state=rule.next_state, head=c.head, tape=tape)
+
+
+# ---------------------------------------------------------------------------
+# runs
 
 
 @dataclass(frozen=True)
@@ -65,18 +119,18 @@ def least_accepting_run(m: Machine, w: str, max_time: int) -> Optional[OracleRun
             visited: frozenset) -> Optional[OracleRun]:
         if steps == bound:
             return None
-        if m.is_branch_state(config.state):
+        if is_branch_state(m, config.state):
             for idx in range(len(m.branches[config.state])):
                 found = rec(step(m, config, idx), steps + 1, bound, choices + (idx,), visited)
                 if found is not None:
                     return found
             return None
         nxt = step(m, config)
-        if isinstance(nxt, Halt):
-            return OracleRun(steps + 1, len(visited), choices) if nxt.accepting else None
+        if isinstance(nxt, HaltReason):
+            return OracleRun(steps + 1, len(visited), choices) if nxt is HaltReason.ACCEPTING_EXIT else None
         return rec(nxt, steps + 1, bound, choices, visited | {nxt.head})
 
-    start = Configuration(state=0, head=1, tape={i + 1: s for i, s in enumerate(w)})
+    start = initial_configuration(m, w)
     for bound in range(1, max_time + 1):
         found = rec(start, 0, bound, (), frozenset({1}))
         if found is not None:
@@ -88,18 +142,18 @@ def least_accepting_run(m: Machine, w: str, max_time: int) -> Optional[OracleRun
 class StepReplay:
     rows: tuple[tuple, ...]          # (state, head, action) per applied rule
     outcome: Outcome
-    halt: Optional[Halt]
+    halt: Optional[HaltReason]
     time: int
     space: int
     final: Configuration
 
 
 def replay_by_step(m: Machine, w: str, choices, max_time: int) -> StepReplay:
-    """One computation, replayed through :func:`tmlab.step` one call at a time.
+    """One computation, replayed through :func:`step` one call at a time.
 
     ``choices`` is a sequence of branch indices consumed in order, or a
     callable ``(state, successors) -> index``.  A sequence that runs out
-    raises :class:`ValueError`, and :func:`tmlab.step` raises it for a pick
+    raises :class:`ValueError`, and :func:`step` raises it for a pick
     outside the branch list.
     """
     picks = None if callable(choices) else iter(choices)
@@ -107,7 +161,7 @@ def replay_by_step(m: Machine, w: str, choices, max_time: int) -> StepReplay:
     rows = []
     visited = {config.head}
     for _ in range(max_time):
-        if m.is_branch_state(config.state):
+        if is_branch_state(m, config.state):
             succs = m.branches[config.state]
             if picks is None:
                 action = choices(config.state, succs)
@@ -117,20 +171,20 @@ def replay_by_step(m: Machine, w: str, choices, max_time: int) -> StepReplay:
                     raise ValueError("choice sequence exhausted")
             nxt = step(m, config, action)
         else:
-            action = m.rule_for(config.state, config.scanned())
+            action = rule_for(m, config.state, scanned(config))
             nxt = step(m, config)
-            if isinstance(nxt, Halt) and nxt.reason is HaltReason.NO_RULE:
+            if nxt is HaltReason.NO_RULE:
                 return StepReplay(tuple(rows), Outcome.HALTED_REJECTING, nxt,
                                   len(rows), len(visited), config)
         rows.append((config.state, config.head, action))
-        if isinstance(nxt, Halt):
-            outcome = Outcome.ACCEPTED if nxt.accepting else Outcome.HALTED_REJECTING
+        if isinstance(nxt, HaltReason):
+            outcome = Outcome.ACCEPTED if nxt is HaltReason.ACCEPTING_EXIT else Outcome.HALTED_REJECTING
             return StepReplay(tuple(rows), outcome, nxt, len(rows), len(visited), config)
         config = nxt
         visited.add(config.head)
-    stuck = not m.is_branch_state(config.state) and step(m, config) == Halt(HaltReason.NO_RULE)
+    stuck = not is_branch_state(m, config.state) and step(m, config) is HaltReason.NO_RULE
     return StepReplay(tuple(rows), Outcome.HALTED_REJECTING if stuck else Outcome.TIME_BOUND_EXCEEDED,
-                      Halt(HaltReason.NO_RULE) if stuck else None,
+                      HaltReason.NO_RULE if stuck else None,
                       len(rows), len(visited), config)
 
 
@@ -158,21 +212,21 @@ def block_stops(m: Machine, partition: Partition, j: int, entry_state: int,
         return "".join(tp.get(c, BLANK) for c in range(lo, hi + 1))
 
     def rec(config: Configuration, steps: int):
-        if m.is_branch_state(config.state):
+        if is_branch_state(m, config.state):
             if steps >= step_cap:
                 return
             for idx in range(len(m.branches[config.state])):
                 nxt = step(m, config, idx)
                 rec(nxt, steps + 1)
             return
-        rule = m.rule_for(config.state, config.scanned())
+        rule = rule_for(m, config.state, scanned(config))
         if rule is None:
             stops.append(OracleStop("halt", None, config.state, snapshot(config.tape), steps))
             return
         if steps >= step_cap:
             return
         nxt = step(m, config)
-        if isinstance(nxt, Halt):
+        if isinstance(nxt, HaltReason):
             # left-move attempt from cell 1; only possible when lo == 1
             stops.append(OracleStop("exit", LEFT, config.state, snapshot(config.tape), steps + 1))
             return
@@ -280,8 +334,7 @@ def crossings_off_heads(trace: Trace, n: int) -> int:
     """
     heads = [head for _, head, _ in trace.steps] + [trace.final.head]
     moves = sum(1 for a, b in zip(heads, heads[1:]) if a != b)
-    edge_exit = (trace.halt is not None
-                 and trace.halt.reason in (HaltReason.ACCEPTING_EXIT, HaltReason.LEFT_EDGE))
+    edge_exit = trace.halt in (HaltReason.ACCEPTING_EXIT, HaltReason.LEFT_EDGE)
     return moves + (n if edge_exit else 0)
 
 

@@ -408,6 +408,69 @@ def test_mstar_malformed_story_exits_65(machine_file, tmp_path, capsys):
     assert code == 65 and "malformed story" in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("n",), 3.7),
+    (("P",), True),
+    (("k",), "4"),
+    (("milestones", 0, 1, 3), -1.5),   # the closing exit (k, 0, 1, -1)
+    (("schema",), True),
+    (("schema",), 1.0),
+], ids=["float-n", "bool-P", "string-k", "float-delta", "bool-schema", "float-schema"])
+def test_mstar_story_number_that_is_no_json_integer_exits_65(tmp_path, capsys, path, value):
+    """Each field is read as the JSON integer it must be, never rounded or
+    coerced: ``3.7`` is not ``3``, ``true`` is not ``1``."""
+    sweep = tmp_path / "sweep_right.tm"
+    sweep.write_text(corpus_text("sweep_right"), encoding="utf-8")
+    _, out, _ = run_cli(capsys, "crossings", str(sweep), "--input", "ab", "-n", "3", "--json")
+    story = report_from_json(out).story
+    story_path = tmp_path / "story.json"
+    argv = ["mstar", str(sweep), "--input", "ab", "-n", "3", "--story", str(story_path), "--json"]
+    story_path.write_text(json.dumps(story), encoding="utf-8")
+    assert run_cli(capsys, *argv)[0] == 0  # the story as extracted is accepted
+    *outer, last = path
+    target = story
+    for key in outer:
+        target = target[key]
+    assert type(target[last]) is int
+    target[last] = value
+    story_path.write_text(json.dumps(story), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 65 and out == ""
+    assert "malformed story" in err or "unsupported schema" in err
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+@pytest.mark.parametrize("command, layer", [
+    ("run", "run_direct"),
+    ("crossings", "check_phase_lemma"),
+    ("mstar", "simulate_mstar"),
+    ("mstar --story", "verify_story"),
+])
+def test_out_of_memory_is_a_resource_cap_not_a_rejection(machine_file, tmp_path, capsys,
+                                                         monkeypatch, command, layer, error):
+    """A huge ``-n`` runs out of memory in the layer named: ``-n 10**12``
+    raises MemoryError there, and ``-n 10**30`` OverflowError, as the size
+    does not fit an index.  No test really allocates it, as an
+    overcommitting host would grant the request and then fill it."""
+
+    def raise_error(*args, **kwargs):
+        raise error
+
+    sweep, story = sweep_story(machine_file, tmp_path, capsys)
+    argv = {"run": ["run", sweep, "--input", "abab", "--max-steps", "16"],
+            "crossings": ["crossings", sweep, "--input", "abab", "-n", "4"],
+            "mstar": ["mstar", sweep, "--input", "abab", "-n", "4"],
+            "mstar --story": ["mstar", sweep, "--input", "abab", "-n", "4", "--story", story],
+            }[command]
+    monkeypatch.setattr(f"tmlab.cli.{layer}", raise_error)
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (2, "")
+    report = report_from_json(out)
+    assert report.verdict == "resource-cap" and report.notes == "out of memory"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "resource cap exceeded: out of memory\n", "")
+
+
 # ---------------------------------------------------------------------------
 # normalize
 
@@ -728,12 +791,20 @@ def mutate_story(rng: random.Random, story: dict, state_count: int) -> dict:
     direction, phase or state; the list a descriptor sits in; a dropped or
     duplicated descriptor; one of ``n``, ``P``, ``r`` and ``k`` by one; or
     ``r`` by one together with the trailing milestone list, so the lists
-    still match ``r`` and a crossing may enter a block past it."""
+    still match ``r`` and a crossing may enter a block past it; or, as the
+    last change, a number swapped for a float, string or bool."""
     story = json.loads(json.dumps(story))
     lists = story["milestones"]
     for _ in range(rng.randint(1, 2)):
         op = rng.choice(("milestone", "delta", "phase", "state", "move", "drop", "duplicate",
-                         "scale", "blocks"))
+                         "scale", "blocks", "type"))
+        if op == "type":
+            located = [(story, key) for key in ("schema", "n", "P", "r", "k")]
+            located += [(d, f) for entries in lists for d in entries for f in range(4)]
+            holder, key = rng.choice(located)
+            holder[key] = rng.choice((float(holder[key]), holder[key] + 0.5, str(holder[key]),
+                                      bool(holder[key])))
+            break  # the other changes do arithmetic on the numbers
         if op == "scale":
             story[rng.choice("nPrk")] += rng.choice((-1, 1))
             continue

@@ -268,7 +268,7 @@ _TRACE_ENDS = {
 def test_one_pass_table_matches_replay_at_every_trace_end(end, n):
     m = parse_machine("states 3\nalphabet 0 a\n" + _TRACE_ENDS[end])
     tr = run_with_choices(m, "a" * (n - 1), (), n * n)
-    assert (tr.halt.reason.value if tr.halt is not None else "time-bound") == end
+    assert (tr.halt.value if tr.halt is not None else "time-bound") == end
     rep = check_phase_lemma(tr, n)
     assert rep.total_crossings > 0
     assert rep.per_P == replay_phase_table(tr, n)

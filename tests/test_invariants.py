@@ -1,5 +1,6 @@
 """Property tests: replay determinism, monotonicity, history invariants."""
 
+import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from tmlab import (
     Descriptor,
+    DetRule,
     LEFT,
     MilestoneHistory,
+    Outcome,
     RIGHT,
     check_phase_lemma,
     extract_history,
@@ -108,11 +111,42 @@ def test_one_pass_lemma_table_matches_replay_oracle(seed, n):
     assert rep.sum_identity_ok
 
 
+def accepting_run(seed: int, n: int):
+    """The first run a seed draws that accepts within ``n**2`` steps, or None.
+
+    State 1 sweeps left, so a run accepts once it reaches state 1.
+    """
+    rng = random.Random(seed)
+    for _ in range(50):
+        m = random_machine(rng)
+        m = dataclasses.replace(m, rules={**m.rules, **{
+            (1, s): DetRule(next_state=1, move=LEFT) for s in m.alphabet}})
+        w = "".join(rng.choice("ab") for _ in range(rng.randint(0, n)))
+        trace = run_with_choices(m, w, lambda state, succs: rng.randrange(len(succs)), n * n)
+        if trace.outcome is Outcome.ACCEPTED:
+            return trace
+    return None
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_accepting_runs_have_even_phase_counts(seed, n):
+    # An accepting run leaves cell 1 and comes back, so it crosses each
+    # milestone an even number of times, and k(P) = 1 + crossings(P) + 1
+    # (the opener and the exit) is even.  The sum identity gives
+    # min_P k(P) <= n + 1, so at an even n some partition has at most n.
+    # (At n = 1 the one-step budget admits no accepting run.)
+    trace = accepting_run(seed, n)
+    assert trace is not None
+    rep = check_phase_lemma(trace, n)
+    assert all(k % 2 == 0 for k in rep.per_P.values()), rep.per_P
+    assert rep.holds or n % 2 == 1
+
+
 def _has_edge_exit(trace):
     from tmlab import HaltReason
 
-    return (trace.halt is not None
-            and trace.halt.reason in (HaltReason.ACCEPTING_EXIT, HaltReason.LEFT_EDGE))
+    return trace.halt in (HaltReason.ACCEPTING_EXIT, HaltReason.LEFT_EDGE)
 
 
 @given(st.lists(st.tuples(st.integers(0, 30), st.booleans()), max_size=8))

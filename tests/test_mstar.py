@@ -1,4 +1,8 @@
-"""Story guessing, verification, and the implication chain."""
+"""Story guessing, verification and search.
+
+Why checking every block verifies a story (the implication chain down to
+``S_0^+ → S_0^-``) is argued in :func:`tmlab.verify_story`'s docstring.
+"""
 
 import dataclasses
 import random
@@ -9,20 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmlab import (
-    Descriptor,
     DetRule,
-    History,
     InvalidStoryError,
     LEFT,
     MilestoneHistory,
-    OPENER,
     Outcome,
-    Partition,
     RIGHT,
-    StoryGuess,
     descriptor_constant,
     extract_history,
-    implication_chain,
     parse_machine,
     partition_for_trace,
     run_direct,
@@ -124,53 +122,16 @@ def test_verify_story_budget_exhaustion_flagged(corpus):
     assert not result.accepted and result.budget_exhausted
 
 
-# ---------------------------------------------------------------------------
-# the implication chain
-
-
-def chain_guess(r: int) -> StoryGuess:
-    k = r + 2
-    closer = Descriptor(k, 0, 1, LEFT)
-    per = {0: [OPENER, closer]}
-    for j in range(1, r + 1):
-        per[j] = [Descriptor(j + 1, j, 0, RIGHT)]
-    # walk right to block r+... keep it simple: r crossings out, then close;
-    # not realizable by any machine, but structurally fine for chain math
-    milestones = tuple(MilestoneHistory(j, tuple(per.get(j, ()))) for j in range(r + 2))
-    story = History(Partition(P=1, n=max(2, r + 1), r=r), milestones)
-    return StoryGuess(n=max(2, r + 1), P=1, r=r, k=k, story=story)
-
-
-def test_chain_all_true_reduces(corpus):
-    guess = chain_guess(3)
-    report = implication_chain(guess, [True, True, True])
-    assert report.sound and report.occurrence_ok
-    assert report.reduced == "S_0^+ -> S_0^-"
-    assert len(report.implications) == 4  # one per block plus the vacuous tail
-
-
-def test_chain_one_false_verdict():
-    guess = chain_guess(3)
-    report = implication_chain(guess, [True, False, True])
-    assert not report.sound and report.occurrence_ok
-
-
-def test_chain_shape_for_four_blocks(corpus):
+def test_zigzag_story_is_trimmed_to_its_visited_blocks_and_verifies(corpus):
+    # the replay partition materializes a spare block past the walk; the
+    # story keeps only the four the head visits, and each is checked
     m = corpus["zigzag"]
-    r = run_direct(m, "", 20)
-    hist = extract_history(r.witness, partition_for_trace(r.witness, 2, 2))
+    direct = run_direct(m, "", 20)
+    hist = extract_history(direct.witness, partition_for_trace(direct.witness, 2, 2))
     guess = story_from_history(hist)
     assert guess.r == 4
-    report = implication_chain(guess, [True] * 4)
-    assert len(report.implications) == 5
-    assert report.occurrence_ok and report.sound
-    assert report.implications[0].antecedent == ("S_0^+", "S_1^-")
-    assert report.implications[4].succedent == ("S_4^-", "S_5^+")
-
-
-def test_chain_length_mismatch():
-    with pytest.raises(ValueError, match="verdicts"):
-        implication_chain(chain_guess(2), [True])
+    result = verify_story(m, "", guess, budget=direct.usage.time)
+    assert result.accepted and result.phase_steps == direct.usage.time
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Machine model: parsing, validation, stepping, direct search, normalize."""
+"""Machine model: parsing, validation, stepping, direct search, normalize.
+
+The step tests run against :func:`oracles.step`, the one-configuration
+step the oracles replay runs with; the library's engines are checked
+against it.
+"""
 
 import dataclasses
 import random
@@ -11,7 +16,6 @@ from tmlab import (
     BLANK,
     Configuration,
     DetRule,
-    Halt,
     HaltReason,
     LEFT,
     Machine,
@@ -19,7 +23,6 @@ from tmlab import (
     Outcome,
     RIGHT,
     ResourceCapExceeded,
-    initial_configuration,
     machine_to_text,
     normalize,
     parse_general_machine,
@@ -27,11 +30,17 @@ from tmlab import (
     run_direct,
     run_direct_general,
     run_with_choices,
-    step,
     validate_normal_form,
 )
 
-from oracles import least_accepting_run, random_machine, replay_by_step
+from oracles import (
+    initial_configuration,
+    least_accepting_run,
+    random_machine,
+    replay_by_step,
+    rule_for,
+    step,
+)
 
 MINIMAL_ALWAYS_ACCEPT = """\
 states 2
@@ -59,7 +68,7 @@ def test_parse_minimal_always_accept():
     m = parse_machine(MINIMAL_ALWAYS_ACCEPT)
     assert m.state_count == 2
     assert m.name == "machine"  # header line is optional
-    assert m.rule_for(0, BLANK) == DetRule(next_state=1, write=BLANK)
+    assert rule_for(m, 0, BLANK) == DetRule(next_state=1, write=BLANK)
 
 
 def test_parse_rejects_mixed_state():
@@ -145,7 +154,7 @@ def test_validate_flags_missing_blank():
 
 
 # ---------------------------------------------------------------------------
-# stepping
+# stepping (the oracles' step)
 
 
 def test_step_write_then_accepting_exit(corpus):
@@ -155,18 +164,18 @@ def test_step_write_then_accepting_exit(corpus):
     assert isinstance(c1, Configuration)
     assert c1.state == 1 and c1.head == 1
     halted = step(m, c1)
-    assert halted == Halt(HaltReason.ACCEPTING_EXIT)
+    assert halted is HaltReason.ACCEPTING_EXIT
 
 
 def test_step_left_edge_in_other_state_rejects():
     m = parse_machine("states 3\nalphabet 0\ndet 0 0 move L 2\n")
     out = step(m, initial_configuration(m, ""))
-    assert out == Halt(HaltReason.LEFT_EDGE)
+    assert out is HaltReason.LEFT_EDGE
 
 
 def test_step_no_rule_halts():
     m = parse_machine("states 2\nalphabet 0 a\ndet 0 a move R 1\n")
-    assert step(m, initial_configuration(m, "")) == Halt(HaltReason.NO_RULE)
+    assert step(m, initial_configuration(m, "")) is HaltReason.NO_RULE
 
 
 def test_step_branch_changes_only_state():

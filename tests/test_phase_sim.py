@@ -190,8 +190,9 @@ def test_no_sentinels_ever_appear_in_results(corpus):
 
 def test_accepted_outcomes_replay_through_raw_stepping(corpus):
     # soundness: an accepted outcome's choice sequence drives the real
-    # machine (via step on absolute cells) to the same content and exit
-    from tmlab import Configuration, Halt, Partition, step
+    # machine (via the oracles' step on absolute cells) to the same content and exit
+    from oracles import is_branch_state, step
+    from tmlab import Configuration, HaltReason
 
     m = corpus["guesser"]
     r = run_direct(m, "aaa", 40)
@@ -210,9 +211,9 @@ def test_accepted_outcomes_replay_through_raw_stepping(corpus):
                                    tape=tape)
             picks = iter(o.choices)
             for _ in range(o.steps):
-                choice = next(picks) if m.is_branch_state(config.state) else None
+                choice = next(picks) if is_branch_state(m, config.state) else None
                 nxt = step(m, config, choice)
-                if isinstance(nxt, Halt):
+                if isinstance(nxt, HaltReason):
                     break
                 config = nxt
             content = "".join(config.tape.get(c, "0") for c in range(lo, hi + 1))
