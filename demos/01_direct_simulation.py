@@ -7,7 +7,7 @@ the minimum-time accepting run, with ties broken toward the
 lexicographically least choice sequence.
 """
 
-from tmlab import Outcome, corpus_machines, run_direct, run_with_choices
+from tmlab import HaltReason, corpus_machines, run_direct, run_with_choices
 
 machines = corpus_machines()
 
@@ -26,7 +26,7 @@ guesser = machines["guesser"]
 r = run_direct(guesser, "bbbb", 40)
 print(f"guesser on 'bbbb': accepted={r.accepted}, branch choices={r.witness.choices}")
 replay = run_with_choices(guesser, "bbbb", r.witness.choices, r.usage.time)
-print(f"replaying those choices: outcome={replay.outcome.value}, "
+print(f"replaying those choices: halt={replay.halt.value}, "
       f"usage identical: {replay.usage == r.usage}")
 
 print()
@@ -36,4 +36,4 @@ for budget in (9, 15):
     verdict = run_direct(pal, "aba", budget).accepted
     print(f"palindrome on 'aba' within {budget:2d} steps: {'accept' if verdict else 'reject'}")
 print("(the machine needs 15 steps on 'aba', so the 9-step budget rejects)")
-assert replay.outcome is Outcome.ACCEPTED
+assert replay.halt is HaltReason.ACCEPTING_EXIT

@@ -11,7 +11,7 @@ direct simulation.
 """
 
 from tmlab import (
-    Outcome,
+    HaltReason,
     corpus_machines,
     run_direct,
     run_with_choices,
@@ -33,10 +33,10 @@ for name, w in [("always_accept", "ab"), ("sweep_right", "abab"),
 print("\n=== the winning story of the guesser on 'aaaa' ===")
 s = simulate_mstar(machines["guesser"], "aaaa", 4)
 g = s.winning
-print(f"  P={g.P}, r={g.r}, k={g.k}; descriptors:")
-for h in g.story.milestones:
-    if h.entries:
-        print(f"    S_{h.milestone} = {[d.astuple() for d in h.entries]}")
+print(f"  P={g.partition.P}, r={g.partition.r}, k={g.k}; descriptors:")
+for j in range(g.partition.r + 2):
+    if g.milestone(j):
+        print(f"    S_{j} = {[d.astuple() for d in g.milestone(j)]}")
 print(f"  accounting: phase steps {s.phase_steps}, guess cost {s.guess_cost}, "
       f"call overhead {s.overhead_steps}")
 print(f"  sim_time {s.sim_time} (= {s.sim_time / 16:.2f} * n^2), sim_space {s.sim_space}")
@@ -44,5 +44,5 @@ print(f"  sim_time {s.sim_time} (= {s.sim_time / 16:.2f} * n^2), sim_space {s.si
 print("\n=== soundness: the story's phase choices replay on the real machine ===")
 concat = [c for phase in s.witness_choices for c in phase]
 tr = run_with_choices(machines["guesser"], "aaaa", concat, max_time=s.budget)
-print(f"  replay outcome: {tr.outcome.value}, time {tr.usage.time} = phase steps {s.phase_steps}")
-assert tr.outcome is Outcome.ACCEPTED
+print(f"  replay halt: {tr.halt.value}, time {tr.usage.time} = phase steps {s.phase_steps}")
+assert tr.halt is HaltReason.ACCEPTING_EXIT

@@ -21,7 +21,6 @@ from .ntm_core import (
     Machine,
     MachineFormatError,
     NodeBudget,
-    Outcome,
     ResourceCapExceeded,
     Trace,
     machine_to_text,
@@ -38,7 +37,6 @@ from .crossing import (
     Descriptor,
     History,
     InconsistentDescriptors,
-    MilestoneHistory,
     OPENER,
     Partition,
     RegionExceeded,
@@ -56,7 +54,6 @@ from .block_check import BlockCheckResult, check_block, initial_block_content
 from .mstar import (
     InvalidStoryError,
     MStarResult,
-    StoryGuess,
     descriptor_constant,
     simulate_mstar,
     story_from_history,

@@ -193,9 +193,9 @@ def cmd_mstar(args) -> int:
         if args.story is None:
             result = simulate_mstar(machine, args.input, n, node_cap=args.node_cap)
         else:
-            guess = load_story(_read(args.story))
-            n = guess.n  # the story's own scale governs the budget
-            result = verify_story(machine, args.input, guess, node_cap=args.node_cap)
+            story = load_story(_read(args.story))
+            n = story.partition.n  # the story's own scale governs the budget
+            result = verify_story(machine, args.input, story, node_cap=args.node_cap)
     except (StoryFormatError, InvalidStoryError) as err:
         print(f"tmlab: {args.story}: {err}", file=sys.stderr)
         return EXIT_DATA
@@ -203,14 +203,15 @@ def cmd_mstar(args) -> int:
         return _capped(args, machine, mode, err, n)
     constants = {"descriptor_constant": result.descriptor_constant}
     if result.accepted:
-        constants["time_constant"] = result.sim_time / (result.winning.n ** 2)
+        part = result.winning.partition
+        constants["time_constant"] = result.sim_time / (part.n ** 2)
     report = RunReport(machine=machine.name, input=args.input, mode=mode,
                        verdict="accepted" if result.accepted else "rejected", n=n,
                        resources=mstar_resources(result),
                        story=story_to_dict(result.winning) if result.winning else None,
                        constants=constants)
     if result.accepted:
-        text = (f"accepted: P={result.winning.P} r={result.winning.r} k={result.winning.k}; "
+        text = (f"accepted: P={part.P} r={part.r} k={result.winning.k}; "
                 f"sim_time {result.sim_time} <= {constants['time_constant']:.2f}*n^2, "
                 f"sim_space {result.sim_space}")
     else:

@@ -1,11 +1,13 @@
-"""Tape partitions, milestone crossings, and per-milestone histories.
+"""Tape partitions, milestone crossings, and the walk they make.
 
 A partition slices the tape into a first block of ``P`` cells followed by
 blocks of ``n`` cells.  The boundary between blocks ``j`` and ``j + 1`` is
 milestone ``j``; milestone 0 is the left end of the tape.  Replaying a
 trace against a partition yields a descriptor every time the head crosses
-a milestone; grouped by milestone and ordered by phase these are the run's
-crossing histories, the object the guess-and-verify simulator guesses.
+a milestone.  In phase order these are the run's crossing sequence, the
+*walk* a :class:`History` holds and the object the guess-and-verify
+simulator guesses; milestone ``j``'s crossing history ``S_j`` is the walk
+filtered to milestone ``j``.
 
 This module also owns the one story-shape rule, :meth:`History.violations`:
 a history is a single head walk through blocks ``1..r``.  Its parts,
@@ -136,62 +138,48 @@ def validate_descriptor_pair(d_in: Descriptor, d_out: Descriptor) -> int:
 
 
 @dataclass(frozen=True)
-class MilestoneHistory:
-    milestone: int
-    entries: tuple[Descriptor, ...] = ()
-
-
-@dataclass(frozen=True)
 class History:
-    """Milestone histories ``H_0 .. H_{r+1}`` under one partition.
+    """A run's milestone crossings under one partition, in phase order.
 
-    The same shape serves as a *story* (a guessed history); nothing in the
-    data distinguishes the two roles.
+    ``walk`` is the crossing sequence itself, opened by :data:`OPENER`;
+    milestone ``j``'s history ``S_j`` is the walk filtered to that
+    milestone.  The same shape serves as a *story* (a guessed history);
+    nothing in the data distinguishes the two roles.
     """
 
     partition: Partition
-    milestones: tuple[MilestoneHistory, ...]
+    walk: tuple[Descriptor, ...]
 
-    def milestone(self, j: int) -> MilestoneHistory:
-        return self.milestones[j]
+    @property
+    def k(self) -> int:
+        """The last phase: the walk's last descriptor's phase number (0 for no walk)."""
+        return self.walk[-1].phase if self.walk else 0
 
-    def descriptors(self) -> list[Descriptor]:
-        out = [d for h in self.milestones for d in h.entries]
-        out.sort(key=lambda d: d.phase)
-        return out
+    def milestone(self, j: int) -> tuple[Descriptor, ...]:
+        """``S_j``: the crossings of milestone ``j``, in phase order."""
+        return tuple(d for d in self.walk if d.milestone == j)
 
     def violations(self) -> list[str]:
         """Why the history is not one head walk through blocks ``1..r``.
 
-        Each descriptor sits in the list of the milestone it names and
-        enters a block no further right than ``r``.  In phase order the
-        first descriptor is :data:`OPENER`, and each next one carries the
-        next phase number and leaves the block the previous one entered,
-        both crossing in direction -1 or +1; so the phases are ``1..k``,
-        once each.  The walk implies the rest of the shape: each
-        milestone's crossings alternate +1, -1, ...; milestone 0 holds the
-        opener and at most a final exit; ``H_{r+1}`` is empty; there are
-        ``k`` descriptors; and every block's visits pair up
+        Every descriptor enters a block no further right than ``r``.  The
+        walk's first descriptor is :data:`OPENER`, and each next one
+        carries the next phase number and leaves the block the previous
+        one entered, both crossing in direction -1 or +1; so the phases
+        are ``1..k``, once each.  The walk implies the rest of the shape:
+        each milestone's crossings alternate +1, -1, ...; milestone 0
+        holds the opener and at most a final exit; ``S_{r+1}`` is empty;
+        there are ``k`` descriptors; and every block's visits pair up
         (:meth:`BlockStory.check`).
         """
         r = self.partition.r
-        if len(self.milestones) != r + 2:
-            return [f"expected milestone lists H_0..H_{r + 1}"]
-        out = []
-        for j, h in enumerate(self.milestones):
-            for d in h.entries:
-                if d.milestone != j:
-                    out.append(f"descriptor {d.astuple()} is listed under S_{j} "
-                               f"but names milestone {d.milestone}")
-                elif (block := block_index_for(d)) > r:
-                    out.append(f"phase {d.phase}: {d.astuple()} enters block {block}, "
-                               f"beyond r = {r}")
-        walk = self.descriptors()
-        if not walk or walk[0] != OPENER:
+        out = [f"phase {d.phase}: {d.astuple()} enters block {block}, beyond r = {r}"
+               for d in self.walk if (block := block_index_for(d)) > r]
+        if not self.walk or self.walk[0] != OPENER:
             out.append(f"histories must open with {OPENER.astuple()}")
         if out:
             return out
-        for d_in, d_out in zip(walk, walk[1:]):
+        for d_in, d_out in zip(self.walk, self.walk[1:]):
             try:
                 block = validate_descriptor_pair(d_in, d_out)
             except InconsistentDescriptors as err:
@@ -201,11 +189,9 @@ class History:
         return []
 
 
-def split_history(h: MilestoneHistory) -> tuple[MilestoneHistory, MilestoneHistory]:
-    """Separate a history into its rightward (+1) and leftward (-1) parts."""
-    plus = tuple(d for d in h.entries if d.delta == RIGHT)
-    minus = tuple(d for d in h.entries if d.delta == LEFT)
-    return (MilestoneHistory(h.milestone, plus), MilestoneHistory(h.milestone, minus))
+def split_history(h: tuple[Descriptor, ...]) -> tuple[tuple[Descriptor, ...], tuple[Descriptor, ...]]:
+    """Separate a history ``S_j`` into its rightward (+1) and leftward (-1) parts."""
+    return (tuple(d for d in h if d.delta == RIGHT), tuple(d for d in h if d.delta == LEFT))
 
 
 def merge_by_phase(*sequences: Iterable[Descriptor]) -> tuple[Descriptor, ...]:
@@ -251,9 +237,8 @@ class BlockStory:
 
 
 def block_story(hist: History, j: int) -> BlockStory:
-    """Block ``j``'s visits: milestones ``j-1`` and ``j`` in phase order."""
-    return BlockStory(block=j, entries=merge_by_phase(hist.milestone(j - 1).entries,
-                                                       hist.milestone(j).entries))
+    """Block ``j``'s visits: the crossings of milestones ``j-1`` and ``j``."""
+    return BlockStory(block=j, entries=tuple(d for d in hist.walk if d.milestone in (j - 1, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +345,9 @@ def partition_for_trace(trace: Trace, P: int, n: int) -> Partition:
 
 
 def extract_history(trace: Trace, partition: Partition) -> History:
-    """Replay ``trace`` and collect each milestone's crossing descriptors."""
-    per_milestone: dict[int, list[Descriptor]] = {j: [] for j in range(partition.r + 2)}
-    per_milestone[0].append(OPENER)
-    for rec in _replay(trace, partition):
-        if rec.left is not None:
-            per_milestone[rec.left.milestone].append(rec.left)
-    milestones = tuple(MilestoneHistory(milestone=j, entries=tuple(per_milestone[j]))
-                       for j in range(partition.r + 2))
-    return History(partition=partition, milestones=milestones)
+    """Replay ``trace`` and collect its crossing descriptors in phase order."""
+    walk = (OPENER,) + tuple(rec.left for rec in _replay(trace, partition) if rec.left is not None)
+    return History(partition=partition, walk=walk)
 
 
 @dataclass(frozen=True)

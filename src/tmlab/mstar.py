@@ -1,10 +1,11 @@
 """Guess-and-verify simulation: enumerate stories, check every block.
 
 Given a machine, an input ``w`` and a scale ``n >= len(w)``, the simulator
-looks for an accepting *story*: a claimed crossing history with some first
-block length ``P``, at most ``max(2, n)`` phases, opened by ``(1,0,0,+1)``
-and closed by the accepting exit ``(k,0,1,-1)``.  A story is verified by
-checking each block's visits independently, and the whole run is charged
+looks for an accepting *story*: a claimed crossing sequence, one
+:class:`~tmlab.crossing.History` walk, with some first block length ``P``
+and at most ``max(2, n)`` phases, opened by ``(1,0,0,+1)`` and closed by
+the accepting exit ``(k,0,1,-1)``.  A story is verified by checking each
+block's visits independently, and the whole run is charged
 against a shared budget of ``n**2`` simulated machine steps, the same step
 counting the direct search uses.
 
@@ -41,7 +42,6 @@ from .block_check import advance_frontier, check_block, initial_block_content, s
 from .crossing import (
     Descriptor,
     History,
-    MilestoneHistory,
     OPENER,
     Partition,
     block_story,
@@ -59,7 +59,7 @@ from .phase_sim import RejectReason
 
 
 class InvalidStoryError(ValueError):
-    """A story guess violates the story-shape invariants."""
+    """A story is not an accepting walk of the machine."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -77,54 +77,9 @@ def descriptor_constant(m: Machine) -> int:
 
 
 @dataclass(frozen=True)
-class StoryGuess:
-    """One candidate ``(n, P, r, k, story)`` for the simulator to verify."""
-
-    n: int
-    P: int
-    r: int
-    k: int
-    story: History
-
-    def closer(self) -> Descriptor:
-        return Descriptor(phase=self.k, milestone=0, state=1, delta=LEFT)
-
-    def descriptor_count(self) -> int:
-        return sum(len(h.entries) for h in self.story.milestones)
-
-    def violations(self, m: Optional[Machine] = None) -> list[str]:
-        """What the guess gets wrong: the scale, ``P``, ``k`` and ``r``
-        ranges, the partition, the accepting ``S_0`` and the states here,
-        and the walk itself through :meth:`History.violations`."""
-        # Note: the story search only enumerates k up to max(2, n); larger
-        # stories are still *verifiable* (crossing histories of slow runs
-        # have more phases), so no upper bound is enforced here.
-        out = []
-        if self.n < 1:
-            out.append("scale n must be >= 1")
-        if not (1 <= self.P <= self.n):
-            out.append(f"first block length P={self.P} must lie in 1..{self.n}")
-        if self.k < 2:
-            out.append(f"an accepting story has at least 2 phases, got k={self.k}")
-        if not (1 <= self.r <= max(1, self.k - 1)):
-            out.append(f"visited-block count r={self.r} must lie in 1..{max(1, self.k - 1)}")
-        part = self.story.partition
-        if (part.P, part.n, part.r) != (self.P, self.n, self.r):
-            out.append("story partition disagrees with the guessed (P, n, r)")
-            return out
-        if not self.story.milestones or self.story.milestone(0).entries != (OPENER, self.closer()):
-            out.append(f"accepting story must have S_0 = ({OPENER.astuple()}, {self.closer().astuple()})")
-        if m is not None:
-            out.extend(f"descriptor {d.astuple()} names state outside the machine"
-                       for h in self.story.milestones for d in h.entries
-                       if not 0 <= d.state < m.state_count)
-        return out + self.story.violations()
-
-
-@dataclass(frozen=True)
 class MStarResult:
     accepted: bool
-    winning: Optional[StoryGuess]
+    winning: Optional[History]
     sim_time: Optional[int]          # guess cost + per-call overhead + phase steps
     sim_space: Optional[int]         # max(block window incl. sentinels, story size)
     descriptor_constant: int
@@ -142,46 +97,56 @@ class MStarResult:
     complete_walk_P: Optional[int] = None            # P whose uncut, empty walk ended the search
 
 
-def story_from_history(history: History) -> StoryGuess:
-    """Repackage an extracted accepting history as a verifiable story.
+def story_from_history(history: History) -> History:
+    """Trim an extracted accepting history down to a verifiable story.
 
-    Trims the spare blocks a replay partition materializes down to the
-    blocks actually visited, and reads ``k`` off the closing descriptor.
-    Raises :class:`InvalidStoryError` when the history does not end in the
-    accepting exit.
+    Drops the spare blocks a replay partition materializes, keeping the
+    blocks actually visited.  Raises :class:`InvalidStoryError` when the
+    history does not end in the accepting exit.
     """
-    h0 = history.milestone(0).entries
+    h0 = history.milestone(0)
     if len(h0) != 2 or h0[0] != OPENER or h0[1].state != 1 or h0[1].delta != LEFT:
         raise InvalidStoryError(["history does not close with the accepting exit"])
-    return _story(history.partition.n, history.partition.P, history.descriptors()[1:])
+    return _story(history.partition.n, history.partition.P, history.walk[1:])
 
 
-def _story(n: int, P: int, descriptors: list[Descriptor]) -> StoryGuess:
+def _story(n: int, P: int, descriptors) -> History:
     """The story of phases ``2..k``'s descriptors, in phase order, the last
-    being the accepting exit: the opener joins milestone 0, and the blocks
-    run up to the one past the rightmost milestone crossed."""
+    being the accepting exit: the opener goes first, and the blocks run up
+    to the one past the rightmost milestone crossed."""
     r = max(d.milestone for d in descriptors) + 1
-    per: list[list[Descriptor]] = [[] for _ in range(r + 2)]
-    per[0].append(OPENER)
-    for d in descriptors:
-        per[d.milestone].append(d)
-    milestones = tuple(MilestoneHistory(milestone=j, entries=tuple(entries))
-                       for j, entries in enumerate(per))
-    story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones)
-    return StoryGuess(n=n, P=P, r=r, k=descriptors[-1].phase, story=story)
+    return History(partition=Partition(P=P, n=n, r=r), walk=(OPENER, *descriptors))
 
 
-def _guess_cost(guess: StoryGuess, c: int) -> int:
-    digits = len(str(guess.n * guess.n)) + len(str(guess.P)) + len(str(guess.r)) + len(str(guess.k))
-    return digits + c * guess.descriptor_count()
+def _story_problems(m: Machine, story: History) -> list[str]:
+    """What keeps ``story`` from being an accepting story of ``m``: the
+    visited-block count ``r``, the accepting ``S_0``, the states, and the
+    walk itself through :meth:`History.violations`.
+
+    Stories with more than ``max(2, n)`` phases are still verifiable
+    (crossing histories of slow runs have more phases), so no upper bound
+    is put on ``k``.
+    """
+    r, k = story.partition.r, story.k
+    closer = Descriptor(phase=k, milestone=0, state=1, delta=LEFT)
+    out = []
+    if r > max(1, k - 1):
+        out.append(f"visited-block count r={r} must lie in 1..{max(1, k - 1)}")
+    if story.milestone(0) != (OPENER, closer):
+        out.append(f"accepting story must have S_0 = ({OPENER.astuple()}, {closer.astuple()})")
+    out.extend(f"descriptor {d.astuple()} names state outside the machine"
+               for d in story.walk if not 0 <= d.state < m.state_count)
+    return out + story.violations()
 
 
-def _accounting(m: Machine, guess: StoryGuess, phase_steps: int) -> dict:
+def _accounting(m: Machine, story: History, phase_steps: int) -> dict:
     c = descriptor_constant(m)
-    story_size = c * guess.descriptor_count()
-    window = max(guess.story.partition.block_length(j) for j in range(1, guess.r + 1)) + 2
-    overhead = guess.r + guess.k
-    cost = _guess_cost(guess, c)
+    story_size = c * len(story.walk)
+    part = story.partition
+    window = max(part.block_length(j) for j in range(1, part.r + 1)) + 2
+    overhead = part.r + story.k
+    # guessing writes the header's digits, then the story
+    cost = sum(len(str(x)) for x in (part.n * part.n, part.P, part.r, story.k)) + story_size
     return dict(
         sim_time=cost + overhead + phase_steps,
         sim_space=max(window, story_size),
@@ -193,13 +158,14 @@ def _accounting(m: Machine, guess: StoryGuess, phase_steps: int) -> dict:
     )
 
 
-def verify_story(m: Machine, w: str, guess: StoryGuess, budget: Optional[int] = None,
+def verify_story(m: Machine, w: str, story: History, budget: Optional[int] = None,
                  node_cap: int = DEFAULT_NODE_CAP) -> MStarResult:
     """Check one story by verifying each of its blocks independently.
 
-    Raises :class:`InvalidStoryError` unless the guess passes
-    :meth:`StoryGuess.violations`, so every block checked is one of the
-    walk's blocks ``1..r`` and its visits pair up.  All blocks share one
+    Raises :class:`InvalidStoryError` unless the story is an accepting
+    walk of ``m`` (:meth:`History.violations` among its checks), so every
+    block checked is one of the walk's blocks ``1..r`` and its visits pair
+    up.  All blocks share one
     cumulative budget of simulated machine steps (default ``n**2``).
     Accepts iff every block's visit chain can be realized within it; the
     result carries the time/space accounting of the accepting branch.
@@ -210,23 +176,23 @@ def verify_story(m: Machine, w: str, guess: StoryGuess, budget: Optional[int] = 
     once on each side and cancels, leaving ``S_0^+ → S_0^-``; the opener
     ``S_0^+`` holds by definition, so the accepting exit is realizable.
     """
-    problems = guess.violations(m)
-    if len(w) > guess.n:
-        problems.append(f"story scale n={guess.n} is below the input length {len(w)}")
+    partition = story.partition
+    problems = _story_problems(m, story)
+    if len(w) > partition.n:
+        problems.append(f"story scale n={partition.n} is below the input length {len(w)}")
     if problems:
         raise InvalidStoryError(problems)
     if budget is None:
-        budget = guess.n * guess.n
+        budget = partition.n * partition.n
     if budget < 0:
         raise ValueError("budget must be >= 0")
     c = descriptor_constant(m)
-    partition = guess.story.partition
     work = NodeBudget(node_cap, "story verification")
 
     total_steps = 0
     choices_by_phase: dict[int, tuple[int, ...]] = {}
-    for j in range(1, guess.r + 1):
-        bs = block_story(guess.story, j)
+    for j in range(1, partition.r + 1):
+        bs = block_story(story, j)
         x0 = initial_block_content(j, partition, w)
         results = check_block(m, bs, x0, budget - total_steps, work=work)
         if not results[0].accepted:
@@ -241,9 +207,9 @@ def verify_story(m: Machine, w: str, guess: StoryGuess, budget: Optional[int] = 
         for (d_in, _d_out), picks in zip(bs.pairs(), best.choices_per_visit):
             choices_by_phase[d_in.phase] = picks
 
-    witness = tuple(choices_by_phase.get(p, ()) for p in range(1, guess.k))
-    return MStarResult(accepted=True, winning=guess, wall_stats=1, budget=budget,
-                       witness_choices=witness, **_accounting(m, guess, total_steps))
+    witness = tuple(choices_by_phase.get(p, ()) for p in range(1, story.k))
+    return MStarResult(accepted=True, winning=story, wall_stats=1, budget=budget,
+                       witness_choices=witness, **_accounting(m, story, total_steps))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +285,14 @@ def simulate_mstar(m: Machine, w: str, n: int, max_phases: Optional[int] = None,
     realizability, which cannot skip a verifiable story.  It rejects at the
     first empty walk the phase bound did not cut: there the ``n**2`` budget
     ended every computation, and no ``P`` changes a computation.  Raises
-    :class:`ResourceCapExceeded` when the search effort passes ``node_cap``.
+    :class:`ResourceCapExceeded` when the search effort passes ``node_cap``,
+    and :class:`ValueError` for a ``max_phases`` below 2, the fewest phases
+    an accepting story has.
     """
     if n < 1:
         raise ValueError("scale n must be >= 1")
+    if max_phases is not None and max_phases < 2:
+        raise ValueError(f"an accepting story has at least 2 phases, got max_phases={max_phases}")
     if len(w) > n:
         raise ValueError(f"scale n must be at least the input length ({len(w)})")
     input_tape(m, w)  # rejects symbols outside the alphabet
@@ -340,8 +310,7 @@ def simulate_mstar(m: Machine, w: str, n: int, max_phases: Optional[int] = None,
                            wall_stats=search.prefixes, budget=budget,
                            complete_walk_P=None if search.cut else P)
     descriptors, steps = found
-    guess = _story(n, P, descriptors)
-    result = verify_story(m, w, guess, budget, node_cap=node_cap)
+    result = verify_story(m, w, _story(n, P, descriptors), budget, node_cap=node_cap)
     assert result.accepted, "search found a story the verifier rejects"
     assert result.phase_steps == steps, \
         "search and verifier disagree on the cheapest realization"

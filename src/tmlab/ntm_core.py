@@ -329,12 +329,6 @@ def input_tape(m: Union[Machine, GeneralMachine], w: str) -> dict[int, str]:
 # traces
 
 
-class Outcome(enum.Enum):
-    ACCEPTED = "accepted"
-    HALTED_REJECTING = "halted-rejecting"
-    TIME_BOUND_EXCEEDED = "time-bound-exceeded"
-
-
 # One applied rule: ``(state, head, action)``, the state and head cell it was
 # applied at and what ran, a DetRule or the branch choice index.  Rows are
 # plain tuples: CPython unpacks an exact tuple on a fast path that a
@@ -359,8 +353,7 @@ class Trace:
 
     input: str
     steps: tuple[TraceStep, ...]
-    outcome: Outcome
-    halt: Optional[HaltReason]  # None while the run is still going at the bound
+    halt: Optional[HaltReason]  # ACCEPTING_EXIT iff accepted; None while still going at the bound
     final: Configuration  # configuration at the moment the run stopped
     usage: ResourceUsage
 
@@ -402,7 +395,6 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
     head = 1
     steps: list[TraceStep] = []
     visited = {head}
-    outcome = Outcome.TIME_BOUND_EXCEEDED
     halt = None
     for _ in range(max_time):
         succs = branches.get(state)
@@ -415,14 +407,12 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
             continue
         rule = rules.get((state, tape.get(head, BLANK)))
         if rule is None:
-            outcome = Outcome.HALTED_REJECTING
             halt = HaltReason.NO_RULE
             break
         steps.append((state, head, rule))
         if rule.move is not None:
             if rule.move == LEFT and head == 1:
                 halt = HaltReason.ACCEPTING_EXIT if state == 1 else HaltReason.LEFT_EDGE
-                outcome = Outcome.ACCEPTED if state == 1 else Outcome.HALTED_REJECTING
                 break
             head += rule.move
             visited.add(head)
@@ -433,11 +423,10 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
         # Bound exhausted.  A stuck state is still a halt: running out of
         # rules costs no step, so it must be observable at the bound too.
         if state not in branches and (state, tape.get(head, BLANK)) not in rules:
-            outcome = Outcome.HALTED_REJECTING
             halt = HaltReason.NO_RULE
     # A NO_RULE halt applies no rule, so it adds no step; move attempts do.
     usage = ResourceUsage(time=len(steps), space=len(visited))
-    return Trace(input=w, steps=tuple(steps), outcome=outcome, halt=halt,
+    return Trace(input=w, steps=tuple(steps), halt=halt,
                  final=Configuration(state=state, head=head, tape=tape), usage=usage)
 
 
@@ -622,7 +611,7 @@ def run_direct(m: Machine, w: str, max_time: int, node_cap: int = DEFAULT_NODE_C
         return DirectResult(accepted=False, witness=None, usage=None, explored=work.used)
     # replayed once the search is freed, so its levels and the trace never coexist
     witness = run_with_choices(m, w, found.choices, found.steps)
-    assert witness.outcome is Outcome.ACCEPTED
+    assert witness.halt is HaltReason.ACCEPTING_EXIT
     return DirectResult(accepted=True, witness=witness, usage=witness.usage, explored=work.used)
 
 

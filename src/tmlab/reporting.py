@@ -2,7 +2,10 @@
 
 One schema (``schema: 1``) covers run reports, crossing tables, simulator
 results and story files; parsing a serialized report reproduces it
-exactly.
+exactly.  A story file keeps one descriptor list per milestone, ``S_0 ..
+S_{r+1}``, next to ``n``, ``P``, ``r`` and ``k``; reading it merges the
+lists into the one phase-ordered walk a :class:`~tmlab.crossing.History`
+holds, and writing it filters them back out.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import __version__
-from .crossing import Descriptor, History, LemmaReport, MilestoneHistory, Partition
-from .mstar import MStarResult, StoryGuess
+from .crossing import Descriptor, History, LemmaReport, Partition, merge_by_phase
+from .mstar import MStarResult
 
 SCHEMA = 1
 
@@ -22,15 +25,16 @@ class StoryFormatError(ValueError):
     """A story file does not match the JSON story encoding."""
 
 
-def story_to_dict(guess: StoryGuess) -> dict:
+def story_to_dict(story: History) -> dict:
+    part = story.partition
     return {
         "schema": SCHEMA,
         "kind": "story",
-        "n": guess.n,
-        "P": guess.P,
-        "r": guess.r,
-        "k": guess.k,
-        "milestones": [[list(d.astuple()) for d in h.entries] for h in guess.story.milestones],
+        "n": part.n,
+        "P": part.P,
+        "r": part.r,
+        "k": story.k,
+        "milestones": [[list(d.astuple()) for d in story.milestone(j)] for j in range(part.r + 2)],
     }
 
 
@@ -40,29 +44,40 @@ def _integer(value: Any) -> int:
     return value
 
 
-def story_from_dict(data: Any) -> StoryGuess:
+def story_from_dict(data: Any) -> History:
+    """Read a story file's lists ``S_0 .. S_{r+1}`` back into one walk.
+
+    Each list must name its own milestone and be in phase order, and ``k``
+    must be the walk's last phase; whether the walk is a story is left to
+    :func:`tmlab.mstar.verify_story`.
+    """
     if not isinstance(data, dict) or data.get("kind") != "story":
         raise StoryFormatError("expected an object with kind 'story'")
     if type(data.get("schema")) is not int or data["schema"] != SCHEMA:
         raise StoryFormatError(f"unsupported schema {data.get('schema')!r}")
     try:
         n, P, r, k = (_integer(data[f]) for f in ("n", "P", "r", "k"))
-        raw = data["milestones"]
-        milestones = []
-        for j, entries in enumerate(raw):
-            descriptors = tuple(Descriptor(*map(_integer, (p, jj, i, d)))
-                                for p, jj, i, d in entries)
-            milestones.append(MilestoneHistory(milestone=j, entries=descriptors))
+        lists = [tuple(Descriptor(*map(_integer, (p, j, i, d))) for p, j, i, d in entries)
+                 for entries in data["milestones"]]
+        partition = Partition(P=P, n=n, r=r)
     except (KeyError, TypeError, ValueError) as err:
         raise StoryFormatError(f"malformed story file: {err}") from None
-    try:
-        story = History(partition=Partition(P=P, n=n, r=r), milestones=tuple(milestones))
-    except ValueError as err:
-        raise StoryFormatError(f"malformed story file: {err}") from None
-    return StoryGuess(n=n, P=P, r=r, k=k, story=story)
+    if len(lists) != r + 2:
+        raise StoryFormatError(f"expected milestone lists H_0..H_{r + 1}")
+    misplaced = [f"descriptor {d.astuple()} is listed under S_{j} but names milestone {d.milestone}"
+                 for j, entries in enumerate(lists) for d in entries if d.milestone != j]
+    if misplaced:
+        raise StoryFormatError("; ".join(misplaced))
+    for j, entries in enumerate(lists):
+        if any(b.phase < a.phase for a, b in zip(entries, entries[1:])):
+            raise StoryFormatError(f"S_{j} is not in phase order")
+    story = History(partition=partition, walk=merge_by_phase(*lists))
+    if story.k != k:
+        raise StoryFormatError(f"k={k} is not the last phase {story.k} of the story's walk")
+    return story
 
 
-def load_story(text: str) -> StoryGuess:
+def load_story(text: str) -> History:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:

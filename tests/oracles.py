@@ -30,13 +30,10 @@ from tmlab import (
     History,
     LEFT,
     Machine,
-    MilestoneHistory,
     MStarResult,
     OPENER,
-    Outcome,
     Partition,
     RIGHT,
-    StoryGuess,
     Trace,
     partition_for_trace,
     phase_records,
@@ -141,7 +138,6 @@ def least_accepting_run(m: Machine, w: str, max_time: int) -> Optional[OracleRun
 @dataclass(frozen=True)
 class StepReplay:
     rows: tuple[tuple, ...]          # (state, head, action) per applied rule
-    outcome: Outcome
     halt: Optional[HaltReason]
     time: int
     space: int
@@ -174,17 +170,14 @@ def replay_by_step(m: Machine, w: str, choices, max_time: int) -> StepReplay:
             action = rule_for(m, config.state, scanned(config))
             nxt = step(m, config)
             if nxt is HaltReason.NO_RULE:
-                return StepReplay(tuple(rows), Outcome.HALTED_REJECTING, nxt,
-                                  len(rows), len(visited), config)
+                return StepReplay(tuple(rows), nxt, len(rows), len(visited), config)
         rows.append((config.state, config.head, action))
         if isinstance(nxt, HaltReason):
-            outcome = Outcome.ACCEPTED if nxt is HaltReason.ACCEPTING_EXIT else Outcome.HALTED_REJECTING
-            return StepReplay(tuple(rows), outcome, nxt, len(rows), len(visited), config)
+            return StepReplay(tuple(rows), nxt, len(rows), len(visited), config)
         config = nxt
         visited.add(config.head)
     stuck = not is_branch_state(m, config.state) and step(m, config) is HaltReason.NO_RULE
-    return StepReplay(tuple(rows), Outcome.HALTED_REJECTING if stuck else Outcome.TIME_BOUND_EXCEEDED,
-                      HaltReason.NO_RULE if stuck else None,
+    return StepReplay(tuple(rows), HaltReason.NO_RULE if stuck else None,
                       len(rows), len(visited), config)
 
 
@@ -298,12 +291,8 @@ def first_verified_story(m: Machine, w: str, n: int, kmax: int) -> Optional[MSta
         for k in range(2, kmax + 1):
             for descriptors in _story_shapes(m, k):
                 r = 1 + max((d.milestone for d in descriptors if d.delta == RIGHT), default=0)
-                milestones = tuple(
-                    MilestoneHistory(milestone=j, entries=tuple(
-                        ([OPENER] if j == 0 else []) + [d for d in descriptors if d.milestone == j]))
-                    for j in range(r + 2))
-                story = History(partition=Partition(P=P, n=n, r=r), milestones=milestones)
-                result = verify_story(m, w, StoryGuess(n=n, P=P, r=r, k=k, story=story))
+                story = History(partition=Partition(P=P, n=n, r=r), walk=(OPENER, *descriptors))
+                result = verify_story(m, w, story)
                 if result.accepted:
                     return result
     return None

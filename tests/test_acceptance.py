@@ -258,9 +258,9 @@ def test_criterion_8_history_invariants():
         if hist.violations():
             failures += 1
             continue
-        for h in hist.milestones:
-            plus, minus = split_history(h)
-            if merge_by_phase(plus.entries, minus.entries) != h.entries:
+        for j in range(hist.partition.r + 2):
+            plus, minus = split_history(hist.milestone(j))
+            if merge_by_phase(plus, minus) != hist.milestone(j):
                 failures += 1
                 break
     assert failures == 0

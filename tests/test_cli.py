@@ -27,7 +27,7 @@ from tmlab import (
 )
 from tmlab.cli import _parse_text, build_parser, main
 from tmlab.plain_argv import QUESTIONS, plain_question
-from tmlab.reporting import report_from_json, story_from_dict, story_to_dict
+from tmlab.reporting import StoryFormatError, report_from_json, story_from_dict, story_to_dict
 
 from conftest import all_inputs, scale_for
 
@@ -367,6 +367,29 @@ def test_mstar_story_descriptor_under_another_milestone_exits_65(machine_file, t
     code, out, err = run_cli(capsys, "mstar", sweep, "--input", "abab", "-n", "4",
                              "--story", story_path, "--json")
     assert code == 65 and out == "" and "(2, 2, 0, 1)" in err
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda story: story["milestones"][0].reverse(), "S_0 is not in phase order"),
+    (lambda story: story["milestones"][1].reverse(), "S_1 is not in phase order"),
+    (lambda story: story.update(k=5), "k=5 is not the last phase 4"),
+], ids=["S_0-reversed", "S_1-reversed", "k-not-the-last-phase"])
+def test_mstar_story_the_reader_refuses_exits_65(tmp_path, capsys, mutate, message):
+    """A milestone's list is read in phase order, never re-sorted, so a
+    reversed ``S_1`` is as invalid as a reversed ``S_0``; and ``k`` must be
+    the walk's last phase."""
+    guesser = tmp_path / "guesser.tm"
+    guesser.write_text(corpus_text("guesser"), encoding="utf-8")
+    question = [str(guesser), "--input", "bbbb", "-n", "4"]
+    _, out, _ = run_cli(capsys, "crossings", *question, "--json")
+    story = report_from_json(out).story
+    assert story["k"] == 4 and story["milestones"][:2] == [
+        [[1, 0, 0, 1], [4, 0, 1, -1]], [[2, 1, 4, 1], [3, 1, 1, -1]]]
+    mutate(story)
+    story_path = tmp_path / "story.json"
+    story_path.write_text(json.dumps(story), encoding="utf-8")
+    code, out, err = run_cli(capsys, "mstar", *question, "--story", str(story_path), "--json")
+    assert code == 65 and out == "" and message in err
 
 
 ONE_STEP_RIGHT = """states 3
@@ -880,3 +903,8 @@ def test_mutated_story_files_end_in_a_documented_exit_code(fuzz_dir, corpus_stor
     assert code in {0, 1, 2, 64, 65, 66}, story
     if code == 0:
         assert run_direct(m, w, story["n"] ** 2).accepted, story
+    try:
+        read = story_from_dict(story)
+    except StoryFormatError:
+        return
+    assert story_to_dict(read) == story  # what the reader accepts is written back unchanged

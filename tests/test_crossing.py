@@ -71,7 +71,7 @@ def test_partition_validerrors():
 
 def test_zigzag_histories_match_closed_form(zigzag_history):
     hist = zigzag_history
-    entries = {h.milestone: [d.astuple() for d in h.entries] for h in hist.milestones}
+    entries = {j: [d.astuple() for d in hist.milestone(j)] for j in range(hist.partition.r + 2)}
     assert entries[0] == [(1, 0, 0, +1), (10, 0, 1, -1)]
     assert entries[1] == [(2, 1, 3, +1), (9, 1, 14, -1)]
     assert entries[2] == [(3, 2, 5, +1), (8, 2, 12, -1)]
@@ -82,26 +82,25 @@ def test_zigzag_histories_match_closed_form(zigzag_history):
 
 def test_split_history_oscillating_milestone(zigzag_history):
     plus, minus = split_history(zigzag_history.milestone(3))
-    assert [d.astuple() for d in plus.entries] == [(4, 3, 7, +1), (6, 3, 9, +1)]
-    assert [d.astuple() for d in minus.entries] == [(5, 3, 8, -1), (7, 3, 10, -1)]
+    assert [d.astuple() for d in plus] == [(4, 3, 7, +1), (6, 3, 9, +1)]
+    assert [d.astuple() for d in minus] == [(5, 3, 8, -1), (7, 3, 10, -1)]
 
 
 def test_split_history_tape_end_milestone(zigzag_history):
     plus, minus = split_history(zigzag_history.milestone(0))
-    assert [d.astuple() for d in plus.entries] == [(1, 0, 0, +1)]
-    assert [d.astuple() for d in minus.entries] == [(10, 0, 1, -1)]
+    assert [d.astuple() for d in plus] == [(1, 0, 0, +1)]
+    assert [d.astuple() for d in minus] == [(10, 0, 1, -1)]
 
 
-def test_split_empty_history():
-    from tmlab import MilestoneHistory
-    plus, minus = split_history(MilestoneHistory(milestone=4))
-    assert plus.entries == () and minus.entries == ()
+def test_split_empty_history(zigzag_history):
+    plus, minus = split_history(zigzag_history.milestone(4))
+    assert plus == () and minus == ()
 
 
 def test_split_then_merge_reconstructs(zigzag_history):
-    for h in zigzag_history.milestones:
-        plus, minus = split_history(h)
-        assert merge_by_phase(plus.entries, minus.entries) == h.entries
+    for j in range(zigzag_history.partition.r + 2):
+        plus, minus = split_history(zigzag_history.milestone(j))
+        assert merge_by_phase(plus, minus) == zigzag_history.milestone(j)
 
 
 def test_block_story_oscillating_block(zigzag_history):
@@ -122,22 +121,15 @@ def test_block_story_rejects_broken_alternation(zigzag_history):
     """Two +1 crossings of milestone 3 in a row are no head walk: the history
     rule names the phase whose crossing does not leave block 4."""
     from dataclasses import replace
-    from tmlab import History, MilestoneHistory
-    h3 = zigzag_history.milestone(3)
-    flipped = tuple(replace(d, delta=+1) if d.phase == 5 else d for d in h3.entries)
-    milestones = tuple(MilestoneHistory(h.milestone, flipped if h.milestone == 3 else h.entries)
-                       for h in zigzag_history.milestones)
-    broken = History(partition=zigzag_history.partition, milestones=milestones)
+    walk = tuple(replace(d, delta=+1) if d.phase == 5 else d for d in zigzag_history.walk)
+    broken = replace(zigzag_history, walk=walk)
     assert broken.violations() == ["phase 5: (5, 3, 8, 1) does not leave block 4"]
 
 
 def test_history_must_open_with_the_opener(zigzag_history):
     from dataclasses import replace
-    from tmlab import History, MilestoneHistory
-    h0 = zigzag_history.milestone(0)
-    reopened = MilestoneHistory(0, (replace(h0.entries[0], state=5),) + h0.entries[1:])
-    broken = History(partition=zigzag_history.partition,
-                     milestones=(reopened,) + zigzag_history.milestones[1:])
+    walk = zigzag_history.walk
+    broken = replace(zigzag_history, walk=(replace(walk[0], state=5),) + walk[1:])
     assert broken.violations() == ["histories must open with (1, 0, 0, 1)"]
 
 
@@ -145,12 +137,10 @@ def test_block_story_rejects_an_exit_through_the_entry_side():
     """The history rule requires each visit to leave its block, as the shape
     check that ``check_block`` runs does not: there a wrong side is a run-time
     rejection."""
-    from tmlab import BlockStory, Descriptor, History, MilestoneHistory
+    from tmlab import BlockStory, Descriptor, History
     d = [Descriptor(1, 0, 0, +1), Descriptor(2, 1, 0, +1), Descriptor(3, 1, 1, +1),
          Descriptor(4, 0, 1, -1)]
-    lists = ((d[0], d[3]), (d[1], d[2]), (), ())
-    story = History(partition=Partition(P=1, n=2, r=2),
-                    milestones=tuple(MilestoneHistory(j, es) for j, es in enumerate(lists)))
+    story = History(partition=Partition(P=1, n=2, r=2), walk=tuple(d))
     assert story.violations() == ["phase 3: (3, 1, 1, 1) does not leave block 2"]
     BlockStory(block=2, entries=(d[1], d[2])).check()
 
@@ -163,8 +153,8 @@ def test_history_confined_to_first_block(corpus):
     m = corpus["always_accept"]
     r = run_direct(m, "", 4)
     hist = extract_history(r.witness, Partition(P=3, n=3, r=2))
-    assert [d.astuple() for d in hist.milestone(0).entries] == [(1, 0, 0, +1), (2, 0, 1, -1)]
-    assert all(not hist.milestone(j).entries for j in range(1, 4))
+    assert [d.astuple() for d in hist.milestone(0)] == [(1, 0, 0, +1), (2, 0, 1, -1)]
+    assert all(not hist.milestone(j) for j in range(1, 4))
 
 
 def test_region_exceeded_when_partition_too_small(zigzag_witness):

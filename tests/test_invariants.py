@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from tmlab import (
     Descriptor,
     DetRule,
+    HaltReason,
     LEFT,
-    MilestoneHistory,
-    Outcome,
     RIGHT,
     check_phase_lemma,
     extract_history,
@@ -41,9 +40,9 @@ def test_random_run_histories_satisfy_invariants(seed):
     n = rng.randint(P, 5)
     hist = extract_history(trace, partition_for_trace(trace, P, n))
     assert hist.violations() == []
-    for h in hist.milestones:
-        plus, minus = split_history(h)
-        assert merge_by_phase(plus.entries, minus.entries) == h.entries
+    for j in range(hist.partition.r + 2):
+        plus, minus = split_history(hist.milestone(j))
+        assert merge_by_phase(plus, minus) == hist.milestone(j)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -51,7 +50,7 @@ def test_random_run_histories_satisfy_invariants(seed):
 def test_replay_is_deterministic(seed):
     _rng, m, w, trace = random_run(seed)
     again = run_with_choices(m, w, trace.choices, max_time=max(trace.usage.time, 1))
-    assert again.outcome == trace.outcome
+    assert again.halt == trace.halt
     assert again.usage == trace.usage
     assert again.final == trace.final
 
@@ -123,7 +122,7 @@ def accepting_run(seed: int, n: int):
             (1, s): DetRule(next_state=1, move=LEFT) for s in m.alphabet}})
         w = "".join(rng.choice("ab") for _ in range(rng.randint(0, n)))
         trace = run_with_choices(m, w, lambda state, succs: rng.randrange(len(succs)), n * n)
-        if trace.outcome is Outcome.ACCEPTED:
+        if trace.halt is HaltReason.ACCEPTING_EXIT:
             return trace
     return None
 
@@ -159,8 +158,7 @@ def test_split_merge_identity_on_synthetic_histories(items):
         Descriptor(phase=p + 2, milestone=5, state=idx % 3,
                    delta=RIGHT if idx % 2 == 0 else LEFT)
         for idx, p in enumerate(phases))
-    h = MilestoneHistory(milestone=5, entries=entries)
-    plus, minus = split_history(h)
-    assert merge_by_phase(plus.entries, minus.entries) == h.entries
-    assert all(d.delta == RIGHT for d in plus.entries)
-    assert all(d.delta == LEFT for d in minus.entries)
+    plus, minus = split_history(entries)
+    assert merge_by_phase(plus, minus) == entries
+    assert all(d.delta == RIGHT for d in plus)
+    assert all(d.delta == LEFT for d in minus)

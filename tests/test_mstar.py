@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from tmlab import (
     DetRule,
+    HaltReason,
     InvalidStoryError,
     LEFT,
-    MilestoneHistory,
-    Outcome,
     RIGHT,
     descriptor_constant,
     extract_history,
@@ -38,6 +37,11 @@ def true_story(m, w, n, P):
     assert r.accepted
     hist = extract_history(r.witness, partition_for_trace(r.witness, P, n))
     return story_from_history(hist), r
+
+
+def with_changed(story, old, new):
+    """``story`` with the descriptor ``old`` replaced by ``new``."""
+    return replace(story, walk=tuple(new if d == old else d for d in story.walk))
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +65,15 @@ def test_verify_story_accepts_nondeterministic_witness(corpus):
     # soundness: concatenated phase choices replay to an accepting run
     concat = [c for phase in result.witness_choices for c in phase]
     tr = run_with_choices(m, "bbbb", concat, max_time=result.budget)
-    assert tr.outcome is Outcome.ACCEPTED
+    assert tr.halt is HaltReason.ACCEPTING_EXIT
     assert tr.usage.time == result.phase_steps
 
 
 def test_invalid_closing_state_is_an_invariant_error(corpus):
     m = corpus["sweep_right"]
     guess, _ = true_story(m, "abab", 4, 2)
-    h0 = guess.story.milestone(0)
-    broken_h0 = MilestoneHistory(0, (h0.entries[0], replace(h0.entries[1], state=0)))
-    milestones = (broken_h0,) + guess.story.milestones[1:]
-    broken = replace(guess, story=replace(guess.story, milestones=milestones))
+    closer = guess.milestone(0)[1]
+    broken = with_changed(guess, closer, replace(closer, state=0))
     with pytest.raises(InvalidStoryError, match="S_0"):
         verify_story(m, "abab", broken)
 
@@ -79,11 +81,8 @@ def test_invalid_closing_state_is_an_invariant_error(corpus):
 def test_delta_flip_is_rejected_by_checking(corpus):
     m = corpus["sweep_right"]
     guess, _ = true_story(m, "abab", 4, 2)
-    h1 = guess.story.milestone(1)
-    flipped = MilestoneHistory(1, tuple(
-        replace(d, delta=-d.delta) if idx == 1 else d for idx, d in enumerate(h1.entries)))
-    milestones = tuple(flipped if h.milestone == 1 else h for h in guess.story.milestones)
-    broken = replace(guess, story=replace(guess.story, milestones=milestones))
+    d = guess.milestone(1)[1]
+    broken = with_changed(guess, d, replace(d, delta=-d.delta))
     with pytest.raises(InvalidStoryError, match="phase 3: .* does not leave block 2"):
         verify_story(m, "abab", broken)
 
@@ -91,10 +90,8 @@ def test_delta_flip_is_rejected_by_checking(corpus):
 def test_state_flip_is_rejected_by_checking(corpus):
     m = corpus["sweep_right"]
     guess, _ = true_story(m, "abab", 4, 2)
-    h1 = guess.story.milestone(1)
-    mutated = MilestoneHistory(1, (replace(h1.entries[0], state=2),) + h1.entries[1:])
-    milestones = tuple(mutated if h.milestone == 1 else h for h in guess.story.milestones)
-    broken = replace(guess, story=replace(guess.story, milestones=milestones))
+    d = guess.milestone(1)[0]
+    broken = with_changed(guess, d, replace(d, state=2))
     result = verify_story(m, "abab", broken)
     assert not result.accepted and result.failed_block is not None
 
@@ -129,7 +126,7 @@ def test_zigzag_story_is_trimmed_to_its_visited_blocks_and_verifies(corpus):
     direct = run_direct(m, "", 20)
     hist = extract_history(direct.witness, partition_for_trace(direct.witness, 2, 2))
     guess = story_from_history(hist)
-    assert guess.r == 4
+    assert guess.partition.r == 4
     result = verify_story(m, "", guess, budget=direct.usage.time)
     assert result.accepted and result.phase_steps == direct.usage.time
 
@@ -142,10 +139,11 @@ def test_mstar_trivial_story_smallest_scale(corpus):
     m = corpus["always_accept"]
     result = simulate_mstar(m, "", 2)
     assert result.accepted
-    assert result.winning.k == 2 and result.winning.r == 1 and result.winning.P == 1
-    assert result.winning.descriptor_count() == 2
+    part = result.winning.partition
+    assert result.winning.k == 2 and part.r == 1 and part.P == 1
+    assert len(result.winning.walk) == 2
     c = descriptor_constant(m)
-    assert result.sim_space <= max(result.winning.n, 2) + c * result.winning.n
+    assert result.sim_space <= max(part.n, 2) + c * part.n
 
 
 def test_mstar_scale_one_budget_matches_direct(corpus):
@@ -172,7 +170,7 @@ def test_mstar_winner_is_canonical_first(corpus):
     result = simulate_mstar(m, "aaaa", 4)
     assert result.accepted
     # stories are tried P ascending, then k ascending: P=1 realizes k=4 first
-    assert result.winning.P == 1 and result.winning.k == 4
+    assert result.winning.partition.P == 1 and result.winning.k == 4
     again = simulate_mstar(m, "aaaa", 4)
     assert again.winning == result.winning
 
@@ -183,6 +181,17 @@ def test_mstar_rejects_scale_below_input():
     m = corpus_machines()["always_accept"]
     with pytest.raises(ValueError, match="input length"):
         simulate_mstar(m, "aaa", 2)
+
+
+@pytest.mark.parametrize("max_phases", [1, 0, -5])
+def test_mstar_phase_bound_below_two_is_an_error(corpus, max_phases):
+    # a bound below 2 walks nothing, so a rejection would wrongly claim that
+    # no computation accepts within n^2 steps, as run_direct shows one does
+    m = corpus["sweep_right"]
+    assert run_direct(m, "ab", 9).accepted
+    with pytest.raises(ValueError, match="at least 2 phases"):
+        simulate_mstar(m, "ab", 3, max_phases=max_phases)
+    assert simulate_mstar(m, "ab", 3, max_phases=2).accepted
 
 
 def test_mstar_node_cap_is_an_error(corpus):
@@ -238,7 +247,7 @@ def test_one_cut_prefix_on_the_last_level_keeps_the_walk_incomplete():
     # accepts in 2 phases, is still reached
     m = parse_machine(CUT_THEN_HALT)
     result = simulate_mstar(m, "", 3)
-    assert result.accepted and (result.winning.P, result.winning.k) == (3, 2)
+    assert result.accepted and (result.winning.partition.P, result.winning.k) == (3, 2)
     assert result.complete_walk_P is None
 
 
@@ -279,8 +288,8 @@ def test_mstar_winner_is_least_closing_prefix_of_the_last_phase():
     # state they cross into block 2 with: 4 halts in block 1, 5 and 8 close
     m = parse_machine(THREE_WAY_GUESS)
     result = simulate_mstar(m, "a", 4)
-    assert result.accepted and (result.winning.P, result.winning.k) == (1, 4)
-    assert [d.astuple() for d in result.winning.story.milestone(1).entries] == [
+    assert result.accepted and (result.winning.partition.P, result.winning.k) == (1, 4)
+    assert [d.astuple() for d in result.winning.milestone(1)] == [
         (2, 1, 5, RIGHT), (3, 1, 1, LEFT)]
     assert result.witness_choices == ((1,), (), ())
     assert result.winning == first_verified_story(m, "a", 4, kmax=4).winning

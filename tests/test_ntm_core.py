@@ -20,7 +20,6 @@ from tmlab import (
     LEFT,
     Machine,
     MachineFormatError,
-    Outcome,
     RIGHT,
     ResourceCapExceeded,
     machine_to_text,
@@ -221,7 +220,7 @@ def test_run_direct_witness_is_minimal_and_replayable(corpus):
     r = run_direct(m, "bbb", 40)
     assert r.accepted
     replay = run_with_choices(m, "bbb", r.witness.choices, r.usage.time)
-    assert replay.outcome is Outcome.ACCEPTED
+    assert replay.halt is HaltReason.ACCEPTING_EXIT
     assert replay.usage == r.usage
     assert replay.steps == r.witness.steps
     # one branch pick: the 'b' arm is choice index 1
@@ -296,7 +295,7 @@ def test_traces_never_move_and_write(corpus):
 
 def assert_matches_step_oracle(trace, want):
     assert trace.steps == want.rows
-    assert (trace.outcome, trace.halt) == (want.outcome, want.halt)
+    assert trace.halt == want.halt
     assert (trace.usage.time, trace.usage.space) == (want.time, want.space)
     assert trace.final == want.final  # tape included
 
