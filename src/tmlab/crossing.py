@@ -7,7 +7,11 @@ trace against a partition yields a descriptor every time the head crosses
 a milestone.  In phase order these are the run's crossing sequence, the
 *walk* a :class:`History` holds and the object the guess-and-verify
 simulator guesses; milestone ``j``'s crossing history ``S_j`` is the walk
-filtered to milestone ``j``.
+filtered to milestone ``j``.  :func:`extract_history` builds the walk
+alone, in one pass over the moves with no tape.  :func:`phase_records`
+cuts the trace into phases at the same crossings and adds what answers
+never need: each phase's block at its start and end, its branch choices
+and its step count, the ground truth the tests check the simulator against.
 
 This module also owns the one story-shape rule, :meth:`History.violations`:
 a history is a single head walk through blocks ``1..r``.  Its parts,
@@ -78,14 +82,10 @@ class Partition:
             return 1
         return 2 + (cell - self.P - 1) // self.n
 
-    def milestone_after_cell(self, cell: int) -> Optional[int]:
-        """Milestone index of the boundary between ``cell`` and ``cell+1``,
-        or None when that boundary is interior to a block."""
-        if cell < self.P:
-            return None
-        if (cell - self.P) % self.n != 0:
-            return None
-        return (cell - self.P) // self.n + 1
+    def milestone_cells(self) -> dict[int, int]:
+        """``{last cell of block j: j}`` for ``j`` in ``1..r``: milestone ``j``
+        is the boundary between that cell and the next."""
+        return {self.block_range(j)[1]: j for j in range(1, self.r + 1)}
 
     def cells_covered(self) -> int:
         return self.P + (self.r - 1) * self.n
@@ -272,66 +272,68 @@ def _block_snapshot(tape: dict[int, str], partition: Partition, j: int) -> str:
     return "".join(tape.get(c, BLANK) for c in range(lo, hi + 1))
 
 
-def _replay(trace: Trace, partition: Partition):
-    """Yield per-phase records by walking the trace's steps once."""
-    tape: dict[int, str] = {i + 1: s for i, s in enumerate(trace.input)}
+def _crossings(trace: Trace, partition: Partition):
+    """Yield ``(row, descriptor)`` for each milestone crossing, in phase order.
+
+    ``row`` indexes the crossing move in ``trace.steps``.  One pass over
+    the moves, no tape: milestone ``j`` is the boundary after block ``j``'s
+    last cell, and a final left-edge attempt closes milestone 0 and ends
+    the walk.  A move past the partition's ``r`` blocks raises
+    :class:`RegionExceeded`; the head gets there only across milestone ``r``.
+    """
+    r = partition.r
+    milestone_after = partition.milestone_cells()
     phase = 1
-    block = 1
-    entered = OPENER
-    content_before = _block_snapshot(tape, partition, 1)
-    choices: list[int] = []
-    steps_in_phase = 0
-
-    if partition.block_of_cell(1) != 1:
-        raise RegionExceeded("cell 1 not covered")
-
-    for state, head, rule in trace.steps:
-        steps_in_phase += 1
-        if isinstance(rule, int):
-            choices.append(rule)
+    for row, (state, head, rule) in enumerate(trace.steps):
+        if type(rule) is int:
             continue
-        if rule.write is not None:
-            tape[head] = rule.write
+        move = rule.move
+        if move == LEFT:
+            if head == 1:
+                yield row, Descriptor(phase=phase + 1, milestone=0, state=state, delta=LEFT)
+                return
+            milestone = milestone_after.get(head - 1)
+        elif move is None:
             continue
-        # a move: the final left-edge attempt closes milestone 0's history
-        if rule.move == LEFT and head == 1:
-            closer = Descriptor(phase=phase + 1, milestone=0, state=state, delta=LEFT)
-            yield PhaseRecord(phase=phase, block=block, entered=entered, left=closer,
-                              content_before=content_before,
-                              content_after=_block_snapshot(tape, partition, block),
-                              choices=tuple(choices), steps=steps_in_phase)
-            return
-        src, dst = head, head + rule.move
-        if dst > partition.cells_covered():
-            raise RegionExceeded(
-                f"head reached cell {dst}, beyond the {partition.r} materialized blocks")
-        boundary = min(src, dst)
-        milestone = partition.milestone_after_cell(boundary)
-        if milestone is None:
-            continue
-        crossing = Descriptor(phase=phase + 1, milestone=milestone,
-                              state=rule.next_state, delta=rule.move)
-        yield PhaseRecord(phase=phase, block=block, entered=entered, left=crossing,
-                          content_before=content_before,
-                          content_after=_block_snapshot(tape, partition, block),
-                          choices=tuple(choices), steps=steps_in_phase)
-        phase += 1
-        block = block + 1 if rule.move == RIGHT else block - 1
-        entered = crossing
-        content_before = _block_snapshot(tape, partition, block)
-        choices = []
-        steps_in_phase = 0
-
-    # trace ended inside the current block (halt without exit, or time bound)
-    yield PhaseRecord(phase=phase, block=block, entered=entered, left=None,
-                      content_before=content_before,
-                      content_after=_block_snapshot(tape, partition, block),
-                      choices=tuple(choices), steps=steps_in_phase)
+        else:
+            milestone = milestone_after.get(head)
+            if milestone == r:
+                raise RegionExceeded(
+                    f"head reached cell {head + 1}, beyond the {r} materialized blocks")
+        if milestone is not None:
+            phase += 1
+            yield row, Descriptor(phase=phase, milestone=milestone,
+                                  state=rule.next_state, delta=move)
 
 
 def phase_records(trace: Trace, partition: Partition) -> list[PhaseRecord]:
-    """Replay a trace, returning its phases with block contents attached."""
-    return list(_replay(trace, partition))
+    """Replay a trace, returning its phases with block contents attached.
+
+    The phases end at :func:`extract_history`'s crossings; on top of them
+    this applies the trace's writes to snapshot each phase's block at its
+    start and end, and collects its branch choices and step count.
+    """
+    cuts = [(row + 1, crossing) for row, crossing in _crossings(trace, partition)]
+    if not cuts or block_index_for(cuts[-1][1]) >= 1:
+        cuts.append((len(trace.steps), None))  # the trace stopped inside its last block
+    tape: dict[int, str] = {i + 1: s for i, s in enumerate(trace.input)}
+    records = []
+    entered, start = OPENER, 0
+    for end, left in cuts:
+        block = block_index_for(entered)
+        before = _block_snapshot(tape, partition, block)
+        choices = []
+        for _, head, rule in trace.steps[start:end]:
+            if isinstance(rule, int):
+                choices.append(rule)
+            elif rule.write is not None:
+                tape[head] = rule.write
+        records.append(PhaseRecord(phase=entered.phase, block=block, entered=entered, left=left,
+                                   content_before=before,
+                                   content_after=_block_snapshot(tape, partition, block),
+                                   choices=tuple(choices), steps=end - start))
+        entered, start = left, end
+    return records
 
 
 def partition_for_trace(trace: Trace, P: int, n: int) -> Partition:
@@ -345,9 +347,14 @@ def partition_for_trace(trace: Trace, P: int, n: int) -> Partition:
 
 
 def extract_history(trace: Trace, partition: Partition) -> History:
-    """Replay ``trace`` and collect its crossing descriptors in phase order."""
-    walk = (OPENER,) + tuple(rec.left for rec in _replay(trace, partition) if rec.left is not None)
-    return History(partition=partition, walk=walk)
+    """Replay ``trace`` and collect its crossing descriptors in phase order.
+
+    This is the walk alone: one pass over the moves that builds each
+    descriptor directly, with no tape, block snapshot or per-phase record.
+    """
+    walk = [OPENER]
+    walk.extend(crossing for _, crossing in _crossings(trace, partition))
+    return History(partition=partition, walk=tuple(walk))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,20 @@ exactly.  A story file keeps one descriptor list per milestone, ``S_0 ..
 S_{r+1}``, next to ``n``, ``P``, ``r`` and ``k``; reading it merges the
 lists into the one phase-ordered walk a :class:`~tmlab.crossing.History`
 holds, and writing it filters them back out.
+
+Reports are written by :func:`dumps`, whose output equals
+``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte.  It exists
+because CPython's C encoder runs only without ``indent``, and the
+pure-Python encoder ``json`` falls back to was the costliest layer on
+every benchmark workload.  Values must be of the exact built-in JSON
+types and dict keys strings; anything else raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from . import __version__
@@ -21,12 +29,57 @@ from .mstar import MStarResult
 SCHEMA = 1
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float repr -> JSON
+
+
+def dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, written by exact-type dispatch."""
+    return _write(obj, "\n")
+
+
+def _write(o: Any, newline: str) -> str:
+    """``o``'s JSON; ``newline`` starts a line at ``o``'s depth.  Each container
+    joins its own items, so no chunk outlives the container that holds it."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        body = f",{inner}".join([f"{encode_basestring_ascii(key)}: {_write(o[key], inner)}"
+                                 for key in sorted(o)])
+        return f"{{{inner}{body}{newline}}}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        body = f",{inner}".join([_write(item, inner) for item in o])
+        return f"[{inner}{body}{newline}]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is float:
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 class StoryFormatError(ValueError):
     """A story file does not match the JSON story encoding."""
 
 
 def story_to_dict(story: History) -> dict:
     part = story.partition
+    milestones: list[list] = [[] for _ in range(part.r + 2)]
+    for d in story.walk:  # one pass: S_j keeps the walk's phase order
+        milestones[d.milestone].append(list(d.astuple()))
     return {
         "schema": SCHEMA,
         "kind": "story",
@@ -34,7 +87,7 @@ def story_to_dict(story: History) -> dict:
         "P": part.P,
         "r": part.r,
         "k": story.k,
-        "milestones": [[list(d.astuple()) for d in story.milestone(j)] for j in range(part.r + 2)],
+        "milestones": milestones,
     }
 
 
@@ -121,11 +174,11 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return dumps(self.to_dict())
 
 
 def report_from_dict(data: dict) -> RunReport:
-    if data.get("schema") != SCHEMA:
+    if type(data.get("schema")) is not int or data["schema"] != SCHEMA:  # true and 1.0 equal 1
         raise ValueError(f"unsupported report schema {data.get('schema')!r}")
     return RunReport(
         machine=data["machine"],

@@ -27,7 +27,14 @@ from tmlab import (
 )
 from tmlab.cli import _parse_text, build_parser, main
 from tmlab.plain_argv import QUESTIONS, plain_question
-from tmlab.reporting import StoryFormatError, report_from_json, story_from_dict, story_to_dict
+from tmlab.reporting import (
+    StoryFormatError,
+    dumps,
+    report_from_dict,
+    report_from_json,
+    story_from_dict,
+    story_to_dict,
+)
 
 from conftest import all_inputs, scale_for
 
@@ -116,6 +123,17 @@ def test_run_json_report_round_trips(machine_file, capsys):
     assert report.verdict == "accepted"
     assert report.resources["time"] == 2 and report.resources["space"] == 1
     assert report_from_json(report.to_json()) == report
+
+
+@pytest.mark.parametrize("schema", [True, 1.0])
+def test_report_schema_that_is_no_json_integer_is_refused(machine_file, capsys, schema):
+    # True and 1.0 both equal SCHEMA; read back, they were written as true and 1.0
+    _, out, _ = run_cli(capsys, "run", machine_file("always_accept"),
+                        "--input", "", "--max-steps", "2", "--json")
+    data = json.loads(out)
+    data["schema"] = schema
+    with pytest.raises(ValueError, match=f"unsupported report schema {schema!r}"):
+        report_from_dict(data)
 
 
 def test_run_resource_cap_exit_code(tmp_path, capsys):
@@ -217,17 +235,17 @@ def test_crossings_confined_run_all_twos(machine_file, capsys):
 
 def test_crossings_replays_the_trace_once(machine_file, capsys, monkeypatch):
     # the k(P) table comes from one pass over the moves; only the best
-    # partition's history is replayed
+    # partition's crossings are walked
     from tmlab import crossing
 
     replays = []
-    replay = crossing._replay
+    walk = crossing._crossings
 
     def counted(trace, partition):
         replays.append(partition.P)
-        return replay(trace, partition)
+        return walk(trace, partition)
 
-    monkeypatch.setattr(crossing, "_replay", counted)
+    monkeypatch.setattr(crossing, "_crossings", counted)
     half = "abbabaaababbbaab"
     code, out, _ = run_cli(capsys, "crossings", machine_file("palindrome"),
                            "--input", half + half[::-1], "-n", "32", "--json")
@@ -558,6 +576,62 @@ def test_normalize_missing_header_line_is_named(tmp_path, capsys, missing):
     path.write_text("general g\n" + "\n".join(lines.values()) + "\n")
     code, out, err = run_cli(capsys, "normalize", str(path))
     assert code == 65 and out == "" and f"missing {missing} line" in err
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+SPECIAL_FLOATS = [-0.0, 0.0, 1e300, -1e-300, 0.1, float("nan"), float("inf"), float("-inf")]
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers() | st.integers(min_value=-10**60, max_value=10**60)
+                | st.floats() | st.sampled_from(SPECIAL_FLOATS)
+                | st.text() | st.text(st.characters(max_codepoint=0x9f))
+                | st.text(st.characters(blacklist_categories=())))  # lone surrogates too
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(st.integers() | st.booleans())
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=12)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=500, deadline=None)
+@example({"\u00e9\x00\x1f\u2028\ud800": [True, 1, False, 0, -0.0, 1e300, float("nan"),
+                                             float("inf"), float("-inf"), 10**100, -(10**100)],
+          "": {}, "t": (), "n": [[], {}, [[{}]], (1, (2, [3]))]})
+@example([1, True, 2])
+def test_writer_equals_the_stdlib_encoder(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {1: "a"}, {"a": [{2: 3}]}, {"a": 1, 2: 3},
+                                   [b"bytes"], {"a": object()}])
+def test_writer_refuses_what_is_no_json(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+def test_json_answers_are_the_stdlib_encoding(tmp_path, capsys):
+    # one question per mode, on a machine whose input symbol is no ASCII
+    machine = tmp_path / "sweep.tm"
+    machine.write_text(corpus_text("sweep_right").replace(" a ", " \u00e9 "), encoding="utf-8")
+    general = tmp_path / "general.gtm"
+    general.write_text(corpus_text("general_anbn"), encoding="utf-8")
+    story = tmp_path / "story.json"
+    ask = {"run": ["run", str(machine), "--input", "\u00e9b", "--max-steps", "20"],
+           "crossings": ["crossings", str(machine), "--input", "\u00e9b", "-n", "3"],
+           "mstar": ["mstar", str(machine), "--input", "\u00e9b", "-n", "3"],
+           "mstar --story": ["mstar", str(machine), "--input", "\u00e9b", "-n", "3",
+                             "--story", str(story)],
+           "normalize": ["normalize", str(general)]}
+    for question, argv in ask.items():
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0, question
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", question
+        if question == "crossings":
+            assert '"input": "\\u00e9b"' in out
+            story.write_text(json.dumps(json.loads(out)["story"]), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

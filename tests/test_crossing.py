@@ -9,6 +9,7 @@ n=2) partition have a known closed form asserted literally below.
 import pytest
 
 from tmlab import (
+    CORPUS_MACHINES,
     Partition,
     RegionExceeded,
     block_story,
@@ -24,6 +25,7 @@ from tmlab import (
     split_history,
 )
 
+from conftest import all_inputs, assert_one_walk, scale_for
 from oracles import crossings_off_heads, replay_phase_count, replay_phase_table
 
 
@@ -49,10 +51,11 @@ def test_partition_block_ranges():
     assert part.block_range(1) == (1, 2)
     assert part.block_range(2) == (3, 5)
     assert part.block_range(3) == (6, 8)
-    assert part.milestone_after_cell(2) == 1
-    assert part.milestone_after_cell(5) == 2
-    assert part.milestone_after_cell(3) is None
-    assert part.milestone_after_cell(1) is None
+    milestones = part.milestone_cells()
+    assert milestones.get(2) == 1
+    assert milestones.get(5) == 2
+    assert milestones.get(3) is None
+    assert milestones.get(1) is None
     assert part.block_of_cell(1) == 1
     assert part.block_of_cell(3) == 2
     assert part.block_of_cell(6) == 3
@@ -160,6 +163,20 @@ def test_history_confined_to_first_block(corpus):
 def test_region_exceeded_when_partition_too_small(zigzag_witness):
     with pytest.raises(RegionExceeded):
         extract_history(zigzag_witness, Partition(P=2, n=2, r=2))
+
+
+def test_history_walk_equals_the_phase_records_crossings(corpus):
+    walks = short = 0
+    for name in CORPUS_MACHINES:
+        for w in all_inputs(5):
+            n = scale_for(w)
+            r = run_direct(corpus[name], w, n * n)
+            if not r.accepted:
+                continue
+            for P in range(1, n + 1):
+                walks += 1
+                short += assert_one_walk(r.witness, partition_for_trace(r.witness, P, n))
+    assert walks > 100 and short > 0
 
 
 def test_partition_for_trace_covers(zigzag_witness):

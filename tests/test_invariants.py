@@ -21,6 +21,7 @@ from tmlab import (
     split_history,
 )
 
+from conftest import assert_one_walk
 from oracles import crossings_off_heads, random_machine, replay_phase_count, replay_phase_table
 
 
@@ -140,6 +141,15 @@ def test_accepting_runs_have_even_phase_counts(seed, n):
     rep = check_phase_lemma(trace, n)
     assert all(k % 2 == 0 for k in rep.per_P.values()), rep.per_P
     assert rep.holds or n % 2 == 1
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_accepting_run_walks_equal_phase_record_crossings(seed, n):
+    trace = accepting_run(seed, n)
+    assert trace is not None
+    for P in range(1, n + 1):
+        assert_one_walk(trace, partition_for_trace(trace, P, n))
 
 
 def _has_edge_exit(trace):
