@@ -28,7 +28,6 @@ from .ntm_core import (
     parse_general_machine,
     parse_machine,
     run_direct,
-    run_direct_general,
     run_with_choices,
     validate_normal_form,
 )

@@ -229,12 +229,8 @@ def cmd_mstar(args) -> int:
 def cmd_normalize(args) -> int:
     try:
         general = parse_general_machine(_read(args.machine))
-    except MachineFormatError as err:
-        print(f"tmlab: {args.machine}: {err}", file=sys.stderr)
-        return EXIT_DATA
-    try:
         result = normalize(general)
-    except ValueError as err:
+    except ValueError as err:  # a MachineFormatError, or a machine normalize refuses
         print(f"tmlab: {args.machine}: {err}", file=sys.stderr)
         return EXIT_DATA
     if args.json:

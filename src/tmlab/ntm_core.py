@@ -19,6 +19,11 @@ head visits.
 :func:`run_with_choices` replays one computation in place and
 :func:`search_configurations` walks them all level by level; the tests'
 oracles keep their own copy that steps one configuration at a time.
+
+The module also reads both machine file formats, which share one header
+grammar, and :func:`normalize` compiles a conventional
+:class:`GeneralMachine` into normal form.  Only the normal form is
+searched here; the tests' oracles decide general machines.
 """
 
 from __future__ import annotations
@@ -178,16 +183,20 @@ def validate_normal_form(m: Machine) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# machine file format
+# machine file formats
 #
-#   machine <name>              (optional; defaults to "machine")
-#   states <count>
-#   alphabet <sym> <sym> ...    (must include 0)
+#   machine <name>              (general <name> in a general file; optional)
+#   states <count>              (a positive integer)
+#   alphabet <sym> <sym> ...    (distinct single characters, 0 among them)
 #   det <q> <s> move L|R <q'>
 #   det <q> <s> write <s'> <q'>
 #   nondet <q> <q1> <q2> [...]
+#   rule <q> <s> <s'> L|R|S <q'>     (general; may repeat (q, s) for branching)
+#   accept <q> [...]                 (general; anywhere)
 #
-# '#' starts a comment; blank lines are ignored.
+# The first three lines are the header both formats share, each given at
+# most once; rule lines come after states and alphabet.  '#' starts a
+# comment; blank lines are ignored.
 
 
 def _want_int(token: str, lineno: int, what: str) -> int:
@@ -197,58 +206,80 @@ def _want_int(token: str, lineno: int, what: str) -> int:
         raise MachineFormatError(f"{what} must be an integer, got {token!r}", lineno)
 
 
+def _read_line(header: list, raw: str, lineno: int, name_word: str, rule_words: tuple) -> Optional[list]:
+    """Read one line of either format against the header grammar they share.
+
+    ``header`` is the parse's ``[name, state_count, alphabet, seen]``.  Returns
+    None for a blank or header line, else the tokens for the format to read,
+    once a line headed by one of ``rule_words`` is known to follow the header.
+    """
+    tokens = raw.split("#", 1)[0].split()
+    if not tokens:
+        return None
+    header[3] = True
+    head = tokens[0]
+    if head == name_word:
+        if len(tokens) != 2:
+            raise MachineFormatError(f"expected: {name_word} <name>", lineno)
+        if header[0] is not None:
+            raise MachineFormatError(f"duplicate {name_word} line", lineno)
+        header[0] = tokens[1]
+    elif head == "states":
+        if len(tokens) != 2:
+            raise MachineFormatError("expected: states <count>", lineno)
+        if header[1] is not None:
+            raise MachineFormatError("duplicate states line", lineno)
+        header[1] = _want_int(tokens[1], lineno, "state count")
+        if header[1] < 1:
+            raise MachineFormatError("state count must be positive", lineno)
+    elif head == "alphabet":
+        if header[2] is not None:
+            raise MachineFormatError("duplicate alphabet line", lineno)
+        alphabet = header[2] = tuple(tokens[1:])
+        if BLANK not in alphabet:
+            raise MachineFormatError(f"alphabet must include the blank symbol {BLANK!r}", lineno)
+        symbols = "".join(alphabet)  # tapes and block contents are strings, one cell per character
+        if len(symbols) != len(alphabet):
+            raise MachineFormatError("alphabet symbols must be single characters", lineno)
+        if len(set(symbols)) != len(alphabet):
+            raise MachineFormatError("alphabet symbols must be distinct", lineno)
+    elif head in rule_words and (header[1] is None or header[2] is None):
+        raise MachineFormatError("rules must come after states and alphabet lines", lineno)
+    else:
+        return tokens
+    return None
+
+
+def _check_header(header: list) -> None:
+    """Refuse, after the last line, a file with no states or alphabet line."""
+    if not header[3]:
+        raise MachineFormatError("empty machine description", 1)
+    if header[1] is None:
+        raise MachineFormatError("missing states line", 1)
+    if header[2] is None:
+        raise MachineFormatError("missing alphabet line", 1)
+
+
 def parse_machine(text: str) -> Machine:
-    """Parse the line-oriented machine file format.
+    """Parse the normal-form machine file format.
 
     Raises :class:`MachineFormatError` (with a line number) on syntax
     problems and on any normal-form violation, so a returned machine is
     always valid.
     """
-    name = None
-    state_count = None
-    alphabet: Optional[tuple[str, ...]] = None
+    header = [None, None, None, False]
     rules: dict[tuple[int, str], DetRule] = {}
     branches: dict[int, tuple[int, ...]] = {}
-    saw_anything = False
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = _read_line(header, raw, lineno, "machine", ("det", "nondet"))
+        if tokens is None:
             continue
-        saw_anything = True
-        tokens = line.split()
         head = tokens[0]
-        if head == "machine":
-            if len(tokens) != 2:
-                raise MachineFormatError("expected: machine <name>", lineno)
-            if name is not None:
-                raise MachineFormatError("duplicate machine line", lineno)
-            name = tokens[1]
-        elif head == "states":
-            if len(tokens) != 2:
-                raise MachineFormatError("expected: states <count>", lineno)
-            if state_count is not None:
-                raise MachineFormatError("duplicate states line", lineno)
-            state_count = _want_int(tokens[1], lineno, "state count")
-            if state_count < 1:
-                raise MachineFormatError("state count must be positive", lineno)
-        elif head == "alphabet":
-            if alphabet is not None:
-                raise MachineFormatError("duplicate alphabet line", lineno)
-            if len(tokens) < 2:
-                raise MachineFormatError("alphabet needs at least one symbol", lineno)
-            alphabet = tuple(tokens[1:])
-            if BLANK not in alphabet:
-                raise MachineFormatError(f"alphabet must include the blank symbol {BLANK!r}", lineno)
-        elif head == "det":
-            if state_count is None or alphabet is None:
-                raise MachineFormatError("rules must come after states and alphabet lines", lineno)
+        if head == "det":
             if len(tokens) != 6:
                 raise MachineFormatError("expected: det <q> <s> move L|R <q'>  or  det <q> <s> write <s'> <q'>", lineno)
-            q = _want_int(tokens[1], lineno, "state")
-            s = tokens[2]
-            action, arg = tokens[3], tokens[4]
-            q2 = _want_int(tokens[5], lineno, "next state")
+            head, q, s, action, arg, q2 = tokens  # not "_": a new name would keep "det" alive
+            q, q2 = _want_int(q, lineno, "state"), _want_int(q2, lineno, "next state")
             if (q, s) in rules:
                 raise MachineFormatError(f"duplicate rule for state {q} symbol {s!r}", lineno)
             if action == "move":
@@ -260,8 +291,6 @@ def parse_machine(text: str) -> Machine:
             else:
                 raise MachineFormatError(f"unknown action {action!r} (want move/write)", lineno)
         elif head == "nondet":
-            if state_count is None or alphabet is None:
-                raise MachineFormatError("rules must come after states and alphabet lines", lineno)
             if len(tokens) < 4:
                 raise MachineFormatError("expected: nondet <q> <q1> <q2> [...] with at least two successors", lineno)
             q = _want_int(tokens[1], lineno, "state")
@@ -270,15 +299,9 @@ def parse_machine(text: str) -> Machine:
             branches[q] = tuple(_want_int(t, lineno, "successor state") for t in tokens[2:])
         else:
             raise MachineFormatError(f"unknown directive {head!r}", lineno)
+    _check_header(header)
 
-    if not saw_anything:
-        raise MachineFormatError("empty machine description", 1)
-    if state_count is None:
-        raise MachineFormatError("missing states line", 1)
-    if alphabet is None:
-        raise MachineFormatError("missing alphabet line", 1)
-
-    m = Machine(name=name or "machine", state_count=state_count, alphabet=alphabet,
+    m = Machine(name=header[0] or "machine", state_count=header[1], alphabet=header[2],
                 rules=rules, branches=branches)
     violations = validate_normal_form(m)
     if violations:
@@ -318,7 +341,7 @@ class HaltReason(enum.Enum):
     NO_RULE = "no-rule"                 # no applicable rule
 
 
-def input_tape(m: Union[Machine, GeneralMachine], w: str) -> dict[int, str]:
+def input_tape(m: Machine, w: str) -> dict[int, str]:
     for s in w:
         if s not in m.alphabet:
             raise ValueError(f"input symbol {s!r} not in machine alphabet")
@@ -643,52 +666,20 @@ class GeneralMachine:
 
 
 def parse_general_machine(text: str) -> GeneralMachine:
-    """Parse the general-machine file format.
-
-    Layout mirrors the normal format::
-
-        general <name>
-        states <count>
-        alphabet 0 a b
-        accept <q> [...]
-        rule <q> <s> <s'> L|R|S <q'>     # may repeat (q, s) for branching
+    """Parse the general-machine file format: the normal format's header
+    under a ``general`` name line, ``rule`` lines and one ``accept`` line,
+    whose states are checked after the last line.
     """
-    name = None
-    state_count = None
-    alphabet = None
+    header = [None, None, None, False]
     accepting: Optional[frozenset[int]] = None
     accept_line = None
-    rule_lines: list[tuple[int, int, str, GeneralRule]] = []  # (line, q, s, rule)
-
+    rules: dict[tuple[int, str], list[GeneralRule]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = _read_line(header, raw, lineno, "general", ("rule",))
+        if tokens is None:
             continue
-        tokens = line.split()
         head = tokens[0]
-        if head == "general":
-            if len(tokens) != 2:
-                raise MachineFormatError("expected: general <name>", lineno)
-            if name is not None:
-                raise MachineFormatError("duplicate general line", lineno)
-            name = tokens[1]
-        elif head == "states":
-            if len(tokens) != 2:
-                raise MachineFormatError("expected: states <count>", lineno)
-            if state_count is not None:
-                raise MachineFormatError("duplicate states line", lineno)
-            state_count = _want_int(tokens[1], lineno, "state count")
-            if state_count < 1:
-                raise MachineFormatError("state count must be positive", lineno)
-        elif head == "alphabet":
-            if alphabet is not None:
-                raise MachineFormatError("duplicate alphabet line", lineno)
-            alphabet = tuple(tokens[1:])
-            if BLANK not in alphabet:
-                raise MachineFormatError(f"alphabet must include the blank symbol {BLANK!r}", lineno)
-            if any(len(s) != 1 for s in alphabet):
-                raise MachineFormatError("alphabet symbols must be single characters", lineno)
-        elif head == "accept":
+        if head == "accept":
             if accepting is not None:
                 raise MachineFormatError("duplicate accept line", lineno)
             accepting = frozenset(_want_int(t, lineno, "accepting state") for t in tokens[1:])
@@ -696,69 +687,32 @@ def parse_general_machine(text: str) -> GeneralMachine:
         elif head == "rule":
             if len(tokens) != 6:
                 raise MachineFormatError("expected: rule <q> <s> <s'> L|R|S <q'>", lineno)
-            s, w_, d = tokens[2:5]
-            q, q2 = _want_int(tokens[1], lineno, "state"), _want_int(tokens[5], lineno, "next state")
+            head, q, s, w_, d, q2 = tokens
+            q, q2 = _want_int(q, lineno, "state"), _want_int(q2, lineno, "next state")
             if d not in ("L", "R", "S"):
                 raise MachineFormatError("direction must be L, R or S", lineno)
+            state_count, alphabet = header[1], header[2]
+            if not (0 <= q < state_count):
+                raise MachineFormatError(f"rule state {q} out of range", lineno)
+            if s not in alphabet:
+                raise MachineFormatError(f"rule symbol {s!r} not in alphabet", lineno)
+            if w_ not in alphabet:
+                raise MachineFormatError(f"written symbol {w_!r} not in alphabet", lineno)
+            if not (0 <= q2 < state_count):
+                raise MachineFormatError(f"next state {q2} out of range", lineno)
             move = {"L": LEFT, "R": RIGHT, "S": STAY}[d]
-            rule_lines.append((lineno, q, s, GeneralRule(write=w_, move=move, next_state=q2)))
+            rules.setdefault((q, s), []).append(GeneralRule(write=w_, move=move, next_state=q2))
         else:
             raise MachineFormatError(f"unknown directive {head!r}", lineno)
+    _check_header(header)
 
-    for what, value in (("states", state_count), ("alphabet", alphabet), ("accept", accepting)):
-        if value is None:
-            raise MachineFormatError(f"missing {what} line", 1)
+    if accepting is None:
+        raise MachineFormatError("missing accept line", 1)
     for q in sorted(accepting):
-        if not (0 <= q < state_count):
+        if not (0 <= q < header[1]):
             raise MachineFormatError(f"accepting state {q} out of range", accept_line)
-    rules: dict[tuple[int, str], list[GeneralRule]] = {}
-    for lineno, q, s, r in rule_lines:
-        if not (0 <= q < state_count):
-            raise MachineFormatError(f"rule state {q} out of range", lineno)
-        if s not in alphabet:
-            raise MachineFormatError(f"rule symbol {s!r} not in alphabet", lineno)
-        if r.write not in alphabet:
-            raise MachineFormatError(f"written symbol {r.write!r} not in alphabet", lineno)
-        if not (0 <= r.next_state < state_count):
-            raise MachineFormatError(f"next state {r.next_state} out of range", lineno)
-        rules.setdefault((q, s), []).append(r)
-    return GeneralMachine(name=name or "general", state_count=state_count, alphabet=alphabet,
+    return GeneralMachine(name=header[0] or "general", state_count=header[1], alphabet=header[2],
                           accepting=accepting, rules={k: tuple(v) for k, v in rules.items()})
-
-
-def run_direct_general(g: GeneralMachine, w: str, max_time: int,
-                       node_cap: int = DEFAULT_NODE_CAP) -> DirectResult:
-    """Bounded exhaustive search for general machines.
-
-    Accepts iff some computation enters an accepting state within
-    ``max_time`` transitions.  A breadth-first search over configurations
-    ``(state, cell, tape)``, each kept at its first arrival; ``explored``
-    counts the transitions tried.  Used as the independent oracle when
-    testing :func:`normalize`.
-    """
-    input_tape(g, w)  # rejects symbols outside the alphabet
-    explored = 0
-    level = [(0, 0, w.rstrip(BLANK))]
-    seen = set(level)
-    for t in range(max_time + 1):
-        nxt = []
-        for state, pos, tape in level:
-            if state in g.accepting:
-                return DirectResult(accepted=True, witness=None, usage=None, explored=explored)
-            if t == max_time:
-                continue
-            for r in g.rules.get((state, tape[pos] if pos < len(tape) else BLANK), ()):
-                explored += 1
-                if explored > node_cap:
-                    raise ResourceCapExceeded(f"general search exceeded node cap {node_cap}")
-                if pos + r.move < 0:
-                    continue  # falling off the left edge kills this computation
-                config = (r.next_state, pos + r.move, _write(tape, pos, r.write))
-                if config not in seen:
-                    seen.add(config)
-                    nxt.append(config)
-        level = nxt
-    return DirectResult(accepted=False, witness=None, usage=None, explored=explored)
 
 
 @dataclass(frozen=True)
@@ -787,22 +741,22 @@ def normalize(g: GeneralMachine, state_cap: int = 10_000) -> NormalizeResult:
     """
     if BLANK not in g.alphabet:
         raise ValueError(f"general machine alphabet lacks the blank symbol {BLANK!r}")
+    if g.state_count >= state_cap:  # checked before state_map holds a slot per state
+        raise ValueError(f"{g.state_count} states exceed the state budget ({state_cap})")
 
     # Accepting states collapse onto normal state 1; their outgoing rules
-    # are dead (a general machine accepts on entry).
+    # are dead (a general machine accepts on entry).  State 0 stays the
+    # entry point even when it accepts; it funnels into 1 below.
     state_map: dict[int, int] = {}
     next_id = 2
     for q in range(g.state_count):
-        if q in g.accepting:
-            state_map[q] = 1
-        elif q == 0:
+        if q == 0:
             state_map[q] = 0
+        elif q in g.accepting:
+            state_map[q] = 1
         else:
             state_map[q] = next_id
             next_id += 1
-    if 0 in g.accepting:
-        # state 0 must still exist as the entry point; it funnels into 1 below
-        state_map[0] = 0
 
     rules: dict[tuple[int, str], DetRule] = {}
     branches: dict[int, tuple[int, ...]] = {}

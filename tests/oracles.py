@@ -8,10 +8,13 @@ every nondeterministic choice sequence.  Phase counts come from replaying
 a trace against each partition, never from the one-pass table of
 :func:`tmlab.check_phase_lemma` they check.  A single computation is
 replayed one :func:`step` call at a time, never through the in-place
-loop of :func:`tmlab.run_with_choices`.  The one exception is
-:func:`first_verified_story`, which checks the story *search* against
-the story verifier it trusts; ``test_oracle_independence.py`` keeps
-every other engine out of this module's imports.
+loop of :func:`tmlab.run_with_choices`.  A general machine is decided
+by :func:`general_accepts`, on the same absolute cells with the general
+transition semantics, never through :func:`tmlab.normalize`.  The one
+exception is :func:`first_verified_story`, which checks the story
+*search* against the story verifier it trusts;
+``test_oracle_independence.py`` keeps every other engine out of this
+module's imports.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from tmlab import (
     Configuration,
     Descriptor,
     DetRule,
+    GeneralMachine,
     HaltReason,
     History,
     LEFT,
@@ -58,7 +62,7 @@ def scanned(c: Configuration) -> str:
     return c.tape.get(c.head, BLANK)
 
 
-def initial_configuration(m: Machine, w: str) -> Configuration:
+def initial_configuration(m: Union[Machine, GeneralMachine], w: str) -> Configuration:
     for s in w:
         if s not in m.alphabet:
             raise ValueError(f"input symbol {s!r} not in machine alphabet")
@@ -179,6 +183,42 @@ def replay_by_step(m: Machine, w: str, choices, max_time: int) -> StepReplay:
     stuck = not is_branch_state(m, config.state) and step(m, config) is HaltReason.NO_RULE
     return StepReplay(tuple(rows), HaltReason.NO_RULE if stuck else None,
                       len(rows), len(visited), config)
+
+
+# ---------------------------------------------------------------------------
+# general machines
+
+
+def general_accepts(g: GeneralMachine, w: str, max_time: int) -> bool:
+    """Whether some computation of ``g`` on ``w`` enters an accepting state
+    within ``max_time`` transitions.
+
+    Breadth-first over configurations on absolute tape cells, each kept at
+    its first arrival; a transition off the left end of the tape ends its
+    computation.  This is the oracle :func:`tmlab.normalize` is checked
+    against.
+    """
+    level = [initial_configuration(g, w)]
+    seen = set()
+    for t in range(max_time + 1):
+        nxt = []
+        for c in level:
+            if c.state in g.accepting:
+                return True
+            if t == max_time:
+                continue
+            for r in g.rules.get((c.state, scanned(c)), ()):
+                head = c.head + r.move
+                if head < 1:
+                    continue
+                tape = dict(c.tape)
+                tape[c.head] = r.write
+                key = (r.next_state, head, frozenset(cell for cell in tape.items() if cell[1] != BLANK))
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(Configuration(state=r.next_state, head=head, tape=tape))
+        level = nxt
+    return False
 
 
 @dataclass(frozen=True)

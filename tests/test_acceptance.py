@@ -32,7 +32,6 @@ from tmlab import (
     partition_for_trace,
     phase_records,
     run_direct,
-    run_direct_general,
     run_with_choices,
     simulate_mstar,
     simulate_phase,
@@ -41,7 +40,7 @@ from tmlab import (
 from tmlab.block_check import advance_frontier, start_frontier
 
 from conftest import all_inputs, scale_for
-from oracles import block_story_feasible, random_machine
+from oracles import block_story_feasible, general_accepts, random_machine
 
 DATA = Path(__file__).parent / "data"
 
@@ -236,7 +235,7 @@ def test_criterion_7_normalizer_equivalence(general_corpus):
         scaled = res.step_blowup * budget + res.step_overhead
         for w in all_inputs():
             cases += 1
-            if run_direct_general(g, w, budget).accepted != run_direct(res.machine, w, scaled).accepted:
+            if general_accepts(g, w, budget) != run_direct(res.machine, w, scaled).accepted:
                 disagreements += 1
     assert disagreements == 0
     print(f"ACCEPTANCE 7 (normalizer equivalence): PASS "

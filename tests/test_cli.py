@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tmlab import (
     CORPUS_MACHINES,
+    GENERAL_CORPUS_MACHINES,
     InvalidStoryError,
     corpus_text,
     extract_history,
@@ -560,12 +561,28 @@ def test_normalize_repeated_header_line_exits_65(tmp_path, capsys, line):
 @pytest.mark.parametrize("alphabet, message", [
     ("a", "alphabet must include the blank symbol"),
     ("0 xy", "alphabet symbols must be single characters"),
+    ("0 a a", "alphabet symbols must be distinct"),
 ])
 def test_normalize_bad_alphabet_reports_its_own_line(tmp_path, capsys, alphabet, message):
     path = tmp_path / "bad.gtm"
     path.write_text(f"general g\nstates 2\nalphabet {alphabet}\naccept 1\n")
     code, out, err = run_cli(capsys, "normalize", str(path))
     assert code == 65 and out == "" and f"line 3: {message}" in err
+
+
+def test_validate_repeated_alphabet_symbol_reports_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.tm"
+    path.write_text("machine m\nstates 2\nalphabet 0 a a\ndet 0 0 move L 1\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 65 and out == "" and "line 3: alphabet symbols must be distinct" in err
+
+
+def test_normalize_state_count_over_the_budget_exits_65(tmp_path, capsys):
+    # refused before normalize builds anything per state
+    path = tmp_path / "huge.gtm"
+    path.write_text("general g\nstates 99999999999999999999\nalphabet 0 a\naccept 1\n")
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert code == 65 and out == "" and "exceed the state budget" in err
 
 
 @pytest.mark.parametrize("missing", ["states", "alphabet", "accept"])
@@ -877,6 +894,22 @@ def test_mutated_machine_files_end_in_a_documented_exit_code(fuzz_dir, seed):
             except SystemExit as exc:  # usage errors; any other exception fails the test
                 code = exc.code
         assert code in {0, 1, 2, 64, 65, 66}, argv
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_mutated_general_files_end_in_a_documented_exit_code(fuzz_dir, seed):
+    rng = random.Random(seed)
+    path = fuzz_dir / "mutant.gtm"
+    path.write_text(mutate_machine_text(rng, corpus_text(rng.choice(GENERAL_CORPUS_MACHINES))),
+                    encoding="utf-8")
+    argv = ["normalize", str(path)] + (["--json"] if rng.random() < 0.5 else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors; any other exception fails the test
+            code = exc.code
+    assert code in {0, 1, 2, 64, 65, 66}, argv
 
 
 # ---------------------------------------------------------------------------

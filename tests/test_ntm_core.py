@@ -27,12 +27,12 @@ from tmlab import (
     parse_general_machine,
     parse_machine,
     run_direct,
-    run_direct_general,
     run_with_choices,
     validate_normal_form,
 )
 
 from oracles import (
+    general_accepts,
     initial_configuration,
     least_accepting_run,
     random_machine,
@@ -92,10 +92,44 @@ def test_parse_requires_blank_in_alphabet():
 
 
 def test_parse_rejects_multi_character_symbols():
-    with pytest.raises(MachineFormatError, match="long-symbol"):
+    with pytest.raises(MachineFormatError, match="line 2: alphabet symbols must be single characters"):
         parse_machine("states 2\nalphabet 0 xy\ndet 0 0 write xy 1\n")
     with pytest.raises(MachineFormatError, match="single characters"):
         parse_general_machine("general g\nstates 2\nalphabet 0 xy\naccept 1\n")
+
+
+@pytest.mark.parametrize("body, line, message", [
+    (["alphabet 0 a"], 1, "missing states line"),
+    (["states 2"], 1, "missing alphabet line"),
+    (["states 2", "states 2", "alphabet 0 a"], 3, "duplicate states line"),
+    (["states 2", "alphabet 0 a", "alphabet 0 a"], 4, "duplicate alphabet line"),
+    (["states x", "alphabet 0 a"], 2, "state count must be an integer, got 'x'"),
+    (["states 0", "alphabet 0 a"], 2, "state count must be positive"),
+    (["states -2", "alphabet 0 a"], 2, "state count must be positive"),
+    (["states 2", "alphabet a b"], 3, "alphabet must include the blank symbol '0'"),
+    (["states 2", "alphabet 0 ab"], 3, "alphabet symbols must be single characters"),
+    (["states 2", "alphabet 0 a a"], 3, "alphabet symbols must be distinct"),
+    (["RULE", "states 2", "alphabet 0 a"], 2, "rules must come after states and alphabet lines"),
+    (["states 2", "RULE", "alphabet 0 a"], 3, "rules must come after states and alphabet lines"),
+    (None, 1, "empty machine description"),
+], ids=["missing-states", "missing-alphabet", "repeated-states", "repeated-alphabet",
+        "non-integer-states", "zero-states", "negative-states", "no-blank", "long-symbol",
+        "repeated-symbol", "rule-first", "rule-between", "empty"])
+def test_both_formats_refuse_a_header_fault_alike(body, line, message):
+    """The header grammar is one: each fault gets one message at one line."""
+    def text(name_line, rule, tail):
+        if body is None:
+            return "\n# nothing but a comment\n"
+        lines = [name_line] + [rule if b == "RULE" else b for b in body] + tail
+        return "".join(f"{b}\n" for b in lines)
+
+    errors = []
+    for parse, source in ((parse_machine, text("machine m", "det 0 0 move L 1", [])),
+                          (parse_general_machine, text("general g", "rule 0 0 0 S 1", ["accept 1"]))):
+        with pytest.raises(MachineFormatError) as err:
+            parse(source)
+        errors.append((str(err.value), err.value.line))
+    assert errors[0] == errors[1] == (f"line {line}: {message}", line)
 
 
 def test_parse_rejects_duplicate_rule():
@@ -392,7 +426,9 @@ def test_normalize_state_budget_overflow():
         "general g\nstates 3\nalphabet 0 a b\naccept 2\n"
         "rule 0 a b R 1\nrule 0 b a R 1\nrule 1 a b L 2\nrule 1 b a L 2\n")
     with pytest.raises(ValueError, match="state budget"):
-        normalize(g, state_cap=3)
+        normalize(g, state_cap=3)  # refused on the count, before any state is mapped
+    with pytest.raises(ValueError, match="normalization exceeded the state budget"):
+        normalize(g, state_cap=4)  # the three states fit; the fresh ones do not
 
 
 def test_normalize_general_anbn_agrees_short_inputs(general_corpus):
@@ -400,6 +436,6 @@ def test_normalize_general_anbn_agrees_short_inputs(general_corpus):
     res = normalize(g)
     budget = 120
     for w in ("", "ab", "aabb", "ba", "abab", "aab", "abb"):
-        want = run_direct_general(g, w, budget).accepted
+        want = general_accepts(g, w, budget)
         got = run_direct(res.machine, w, res.step_blowup * budget + res.step_overhead).accepted
         assert got == want, w

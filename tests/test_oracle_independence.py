@@ -15,7 +15,7 @@ ORACLES = Path(__file__).with_name("oracles.py")
 ENGINES = frozenset({
     "run_with_choices", "run_direct", "search_configurations",
     "enumerate_block_runs", "simulate_phase", "advance_frontier", "check_block",
-    "simulate_mstar", "check_phase_lemma",
+    "simulate_mstar", "check_phase_lemma", "normalize",
 })
 
 
