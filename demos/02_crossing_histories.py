@@ -10,12 +10,13 @@ accepts, so its histories have a clean closed form.
 """
 
 from tmlab import (
+    LEFT,
+    RIGHT,
     Partition,
     block_story,
     extract_history,
     load_corpus_machine,
     run_direct,
-    split_history,
 )
 
 zigzag = load_corpus_machine("zigzag")
@@ -36,9 +37,8 @@ print("(milestone 0 is the left end of the tape: the run opens with phase 1")
 print(" and the accepting exit closes it at phase 10, in state 1)")
 
 print("\n=== splitting a history by direction ===")
-plus, minus = split_history(hist.milestone(3))
-print(f"  H_3 rightward: {[d.astuple() for d in plus]}")
-print(f"  H_3 leftward:  {[d.astuple() for d in minus]}")
+print(f"  H_3 rightward: {[d.astuple() for d in hist.milestone(3) if d.delta == RIGHT]}")
+print(f"  H_3 leftward:  {[d.astuple() for d in hist.milestone(3) if d.delta == LEFT]}")
 
 print("\n=== per-block stories: in/out crossing pairs ===")
 for j in (1, 3, 4, 5):

@@ -5,9 +5,9 @@ crossing descriptors) and verifies every block independently.  Each
 checked block turns one implication between milestone crossings true, and
 chained they reduce to "the accepting exit is realizable" (the argument is
 in ``verify_story``'s docstring), so acceptance of a story is sound; and
-any run acceptable in n^2 steps with at most max(2, n) phases under some
-partition has its true story in the enumeration, so the search agrees with
-direct simulation.
+any run acceptable in n^2 steps has at most n + n % 2 phases under some
+partition, so its true story is in the enumeration and the search agrees
+with direct simulation.
 """
 
 from tmlab import (

@@ -29,7 +29,6 @@ from .ntm_core import (
     parse_machine,
     run_direct,
     run_with_choices,
-    validate_normal_form,
 )
 from .crossing import (
     BlockStory,
@@ -46,7 +45,6 @@ from .crossing import (
     merge_by_phase,
     partition_for_trace,
     phase_records,
-    split_history,
 )
 from .phase_sim import RejectReason, simulate_phase
 from .block_check import BlockCheckResult, check_block, initial_block_content

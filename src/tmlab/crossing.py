@@ -87,9 +87,6 @@ class Partition:
         is the boundary between that cell and the next."""
         return {self.block_range(j)[1]: j for j in range(1, self.r + 1)}
 
-    def cells_covered(self) -> int:
-        return self.P + (self.r - 1) * self.n
-
 
 @dataclass(frozen=True, order=True)
 class Descriptor:
@@ -187,11 +184,6 @@ class History:
             if d_out.milestone != exit_milestone(block, d_out.delta):
                 return [f"phase {d_out.phase}: {d_out.astuple()} does not leave block {block}"]
         return []
-
-
-def split_history(h: tuple[Descriptor, ...]) -> tuple[tuple[Descriptor, ...], tuple[Descriptor, ...]]:
-    """Separate a history ``S_j`` into its rightward (+1) and leftward (-1) parts."""
-    return (tuple(d for d in h if d.delta == RIGHT), tuple(d for d in h if d.delta == LEFT))
 
 
 def merge_by_phase(*sequences: Iterable[Descriptor]) -> tuple[Descriptor, ...]:
@@ -324,7 +316,7 @@ def phase_records(trace: Trace, partition: Partition) -> list[PhaseRecord]:
         before = _block_snapshot(tape, partition, block)
         choices = []
         for _, head, rule in trace.steps[start:end]:
-            if isinstance(rule, int):
+            if type(rule) is int:
                 choices.append(rule)
             elif rule.write is not None:
                 tape[head] = rule.write
@@ -395,13 +387,16 @@ def check_phase_lemma(trace: Trace, n: int) -> LemmaReport:
     edge_seen = 0
     moves = 0
     for _, head, rule in trace.steps:
-        if isinstance(rule, int) or rule.move is None:
+        if type(rule) is int:
+            continue
+        move = rule.move
+        if move is None:
             continue
         moves += 1
-        if rule.move == LEFT and head == 1:
+        if move == LEFT and head == 1:
             edge_seen = 1
         else:
-            crossed[(min(head, head + rule.move) - 1) % n] += 1
+            crossed[(min(head, head + move) - 1) % n] += 1
     per_P = {P: 1 + crossed[P - 1] + edge_seen for P in range(1, n + 1)}
     total = sum(per_P.values())
     best_P = min(per_P, key=lambda P: (per_P[P], P))

@@ -3,7 +3,7 @@
 Given a machine, an input ``w`` and a scale ``n >= len(w)``, the simulator
 looks for an accepting *story*: a claimed crossing sequence, one
 :class:`~tmlab.crossing.History` walk, with some first block length ``P``
-and at most ``max(2, n)`` phases, opened by ``(1,0,0,+1)`` and closed by
+and at most ``n + n % 2`` phases, opened by ``(1,0,0,+1)`` and closed by
 the accepting exit ``(k,0,1,-1)``.  A story is verified by checking each
 block's visits independently, and the whole run is charged
 against a shared budget of ``n**2`` simulated machine steps, the same step
@@ -123,7 +123,7 @@ def _story_problems(m: Machine, story: History) -> list[str]:
     visited-block count ``r``, the accepting ``S_0``, the states, and the
     walk itself through :meth:`History.violations`.
 
-    Stories with more than ``max(2, n)`` phases are still verifiable
+    Stories with more than ``n + n % 2`` phases are still verifiable
     (crossing histories of slow runs have more phases), so no upper bound
     is put on ``k``.
     """
@@ -275,29 +275,28 @@ class _StorySearch:
         return None
 
 
-def simulate_mstar(m: Machine, w: str, n: int, max_phases: Optional[int] = None,
-                   node_cap: int = DEFAULT_NODE_CAP) -> MStarResult:
+def simulate_mstar(m: Machine, w: str, n: int, node_cap: int = DEFAULT_NODE_CAP) -> MStarResult:
     """Search the story space and verify the first candidate that fits.
 
-    Equivalent, by construction, to asking whether the direct bounded
-    search accepts within ``n**2`` steps using at most ``max(2, n)`` phases
-    under some first-block length: the enumeration is pruned by phase
-    realizability, which cannot skip a verifiable story.  It rejects at the
-    first empty walk the phase bound did not cut: there the ``n**2`` budget
-    ended every computation, and no ``P`` changes a computation.  Raises
-    :class:`ResourceCapExceeded` when the search effort passes ``node_cap``,
-    and :class:`ValueError` for a ``max_phases`` below 2, the fewest phases
-    an accepting story has.
+    Equivalent to asking whether the direct bounded search accepts within
+    ``n**2`` steps: the enumeration is pruned by phase realizability, which
+    cannot skip a verifiable story, and the phase bound ``n + n % 2`` cuts
+    no accepting run.  Each completed move crosses a milestone of exactly
+    one partition, so ``sum_P k(P) = moves + 2n <= n**2 + 2n - 1`` and
+    some ``k(P) <= n + 1``; and every ``k(P)`` of an accepting run is even,
+    since its walk leaves block 1 and comes back one block at a time.  It
+    rejects at the first empty walk the phase bound did not cut: there the
+    ``n**2`` budget ended every computation, and no ``P`` changes a
+    computation.  Raises :class:`ResourceCapExceeded` when the search
+    effort passes ``node_cap``.
     """
     if n < 1:
         raise ValueError("scale n must be >= 1")
-    if max_phases is not None and max_phases < 2:
-        raise ValueError(f"an accepting story has at least 2 phases, got max_phases={max_phases}")
     if len(w) > n:
         raise ValueError(f"scale n must be at least the input length ({len(w)})")
     input_tape(m, w)  # rejects symbols outside the alphabet
     budget = n * n
-    kmax = max_phases if max_phases is not None else max(2, n)
+    kmax = n + n % 2
 
     search = _StorySearch(m, w, n, budget, node_cap)
     for P in range(1, n + 1):

@@ -88,8 +88,10 @@ class DetRule:
     """Action of a deterministic state on one symbol.
 
     Exactly one of ``move`` / ``write`` should be set; this is *not*
-    enforced at construction time so that malformed rules can be built and
-    reported by :func:`validate_normal_form`.
+    enforced at construction time.  A :class:`Machine` built in code is
+    valid iff ``parse_machine(machine_to_text(m)) == m``: the text cannot
+    say move-and-write, no action or a direction other than L/R, and the
+    reader refuses a missing blank and a state or symbol out of range.
     """
 
     next_state: int
@@ -118,70 +120,6 @@ class Machine:
         return {key: (r.next_state, r.move or 0, r.write) for key, r in self.rules.items()}
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One normal-form violation, naming the offending state/symbol."""
-
-    kind: str
-    state: Optional[int] = None
-    symbol: Optional[str] = None
-    detail: str = ""
-
-    def __str__(self):
-        where = []
-        if self.state is not None:
-            where.append(f"state {self.state}")
-        if self.symbol is not None:
-            where.append(f"symbol {self.symbol!r}")
-        loc = ", ".join(where)
-        return f"{self.kind}({loc}): {self.detail}" if loc else f"{self.kind}: {self.detail}"
-
-
-def validate_normal_form(m: Machine) -> list[Violation]:
-    """Check every normal-form invariant; an empty list means valid."""
-    out: list[Violation] = []
-    if BLANK not in m.alphabet:
-        out.append(Violation("missing-blank", detail=f"alphabet must contain {BLANK!r}"))
-    if m.state_count < 2:
-        out.append(Violation("too-few-states", detail="need at least states 0 (initial) and 1 (accepting)"))
-    seen_symbols = set(m.alphabet)
-    if len(seen_symbols) != len(m.alphabet):
-        out.append(Violation("duplicate-symbol", detail="alphabet symbols must be distinct"))
-    for s in m.alphabet:
-        if len(s) != 1:  # tapes and block contents are strings, one cell per character
-            out.append(Violation("long-symbol", symbol=s, detail="symbols must be single characters"))
-
-    det_states = {q for (q, _s) in m.rules}
-    for q in sorted(det_states & set(m.branches)):
-        out.append(Violation("mixed-state", state=q, detail="state has both deterministic rules and branches"))
-
-    for (q, s), rule in m.rules.items():
-        if not (0 <= q < m.state_count):
-            out.append(Violation("bad-state-id", state=q, detail="rule state out of range"))
-        if s not in seen_symbols:
-            out.append(Violation("unknown-symbol", state=q, symbol=s, detail="rule symbol not in alphabet"))
-        if rule.move is not None and rule.write is not None:
-            out.append(Violation("move-and-write", state=q, symbol=s, detail="rule both moves and writes"))
-        elif rule.move is None and rule.write is None:
-            out.append(Violation("no-action", state=q, symbol=s, detail="rule neither moves nor writes"))
-        if rule.move is not None and rule.move not in (LEFT, RIGHT):
-            out.append(Violation("bad-direction", state=q, symbol=s, detail=f"direction must be -1 or +1, got {rule.move}"))
-        if rule.write is not None and rule.write not in seen_symbols:
-            out.append(Violation("unknown-symbol", state=q, symbol=s, detail=f"written symbol {rule.write!r} not in alphabet"))
-        if not (0 <= rule.next_state < m.state_count):
-            out.append(Violation("bad-state-id", state=q, symbol=s, detail=f"next state {rule.next_state} out of range"))
-
-    for q, succs in m.branches.items():
-        if not (0 <= q < m.state_count):
-            out.append(Violation("bad-state-id", state=q, detail="branch state out of range"))
-        if len(succs) < 2:
-            out.append(Violation("short-branch", state=q, detail="branch list needs length > 1"))
-        for t in succs:
-            if not (0 <= t < m.state_count):
-                out.append(Violation("bad-state-id", state=q, detail=f"branch target {t} out of range"))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # machine file formats
 #
@@ -195,8 +133,9 @@ def validate_normal_form(m: Machine) -> list[Violation]:
 #   accept <q> [...]                 (general; anywhere)
 #
 # The first three lines are the header both formats share, each given at
-# most once; rule lines come after states and alphabet.  '#' starts a
-# comment; blank lines are ignored.
+# most once; rule lines come after states and alphabet, and each one's
+# states and symbols are checked at that line.  '#' starts a comment;
+# blank lines are ignored.
 
 
 def _want_int(token: str, lineno: int, what: str) -> int:
@@ -204,6 +143,19 @@ def _want_int(token: str, lineno: int, what: str) -> int:
         return int(token)
     except ValueError:
         raise MachineFormatError(f"{what} must be an integer, got {token!r}", lineno)
+
+
+def _state(token: str, lineno: int, what: str, count: int) -> int:
+    q = _want_int(token, lineno, what)
+    if not 0 <= q < count:
+        raise MachineFormatError(f"{what} {q} out of range", lineno)
+    return q
+
+
+def _symbol(s: str, lineno: int, what: str, alphabet: tuple) -> str:
+    if s not in alphabet:
+        raise MachineFormatError(f"{what} {s!r} not in alphabet", lineno)
+    return s
 
 
 def _read_line(header: list, raw: str, lineno: int, name_word: str, rule_words: tuple) -> Optional[list]:
@@ -263,9 +215,10 @@ def _check_header(header: list) -> None:
 def parse_machine(text: str) -> Machine:
     """Parse the normal-form machine file format.
 
-    Raises :class:`MachineFormatError` (with a line number) on syntax
-    problems and on any normal-form violation, so a returned machine is
-    always valid.
+    Every check is made at its line, so a :class:`MachineFormatError`
+    names the line of the first fault, and a returned machine is always
+    valid.  Faults found only after the last line (a missing header line,
+    fewer than 2 states) are named at line 1.
     """
     header = [None, None, None, False]
     rules: dict[tuple[int, str], DetRule] = {}
@@ -275,38 +228,43 @@ def parse_machine(text: str) -> Machine:
         if tokens is None:
             continue
         head = tokens[0]
+        count, alphabet = header[1], header[2]
         if head == "det":
             if len(tokens) != 6:
                 raise MachineFormatError("expected: det <q> <s> move L|R <q'>  or  det <q> <s> write <s'> <q'>", lineno)
             head, q, s, action, arg, q2 = tokens  # not "_": a new name would keep "det" alive
-            q, q2 = _want_int(q, lineno, "state"), _want_int(q2, lineno, "next state")
+            q = _state(q, lineno, "rule state", count)
+            s = _symbol(s, lineno, "rule symbol", alphabet)
+            q2 = _state(q2, lineno, "next state", count)
             if (q, s) in rules:
                 raise MachineFormatError(f"duplicate rule for state {q} symbol {s!r}", lineno)
+            if q in branches:
+                raise MachineFormatError(f"state {q} has both det rules and a nondet line", lineno)
             if action == "move":
                 if arg not in ("L", "R"):
                     raise MachineFormatError("move direction must be L or R", lineno)
                 rules[(q, s)] = DetRule(next_state=q2, move=LEFT if arg == "L" else RIGHT)
             elif action == "write":
-                rules[(q, s)] = DetRule(next_state=q2, write=arg)
+                rules[(q, s)] = DetRule(next_state=q2, write=_symbol(arg, lineno, "written symbol", alphabet))
             else:
                 raise MachineFormatError(f"unknown action {action!r} (want move/write)", lineno)
         elif head == "nondet":
             if len(tokens) < 4:
                 raise MachineFormatError("expected: nondet <q> <q1> <q2> [...] with at least two successors", lineno)
-            q = _want_int(tokens[1], lineno, "state")
+            q = _state(tokens[1], lineno, "rule state", count)
             if q in branches:
                 raise MachineFormatError(f"duplicate nondet line for state {q}", lineno)
-            branches[q] = tuple(_want_int(t, lineno, "successor state") for t in tokens[2:])
+            for s in alphabet:
+                if (q, s) in rules:
+                    raise MachineFormatError(f"state {q} has both det rules and a nondet line", lineno)
+            branches[q] = tuple(_state(t, lineno, "successor state", count) for t in tokens[2:])
         else:
             raise MachineFormatError(f"unknown directive {head!r}", lineno)
     _check_header(header)
-
-    m = Machine(name=header[0] or "machine", state_count=header[1], alphabet=header[2],
-                rules=rules, branches=branches)
-    violations = validate_normal_form(m)
-    if violations:
-        raise MachineFormatError("; ".join(str(v) for v in violations))
-    return m
+    if header[1] < 2:
+        raise MachineFormatError("need at least states 0 (initial) and 1 (accepting)", 1)
+    return Machine(name=header[0] or "machine", state_count=header[1], alphabet=header[2],
+                   rules=rules, branches=branches)
 
 
 def machine_to_text(m: Machine) -> str:
@@ -688,18 +646,13 @@ def parse_general_machine(text: str) -> GeneralMachine:
             if len(tokens) != 6:
                 raise MachineFormatError("expected: rule <q> <s> <s'> L|R|S <q'>", lineno)
             head, q, s, w_, d, q2 = tokens
-            q, q2 = _want_int(q, lineno, "state"), _want_int(q2, lineno, "next state")
+            count, alphabet = header[1], header[2]
+            q = _state(q, lineno, "rule state", count)
+            s = _symbol(s, lineno, "rule symbol", alphabet)
+            w_ = _symbol(w_, lineno, "written symbol", alphabet)
+            q2 = _state(q2, lineno, "next state", count)
             if d not in ("L", "R", "S"):
                 raise MachineFormatError("direction must be L, R or S", lineno)
-            state_count, alphabet = header[1], header[2]
-            if not (0 <= q < state_count):
-                raise MachineFormatError(f"rule state {q} out of range", lineno)
-            if s not in alphabet:
-                raise MachineFormatError(f"rule symbol {s!r} not in alphabet", lineno)
-            if w_ not in alphabet:
-                raise MachineFormatError(f"written symbol {w_!r} not in alphabet", lineno)
-            if not (0 <= q2 < state_count):
-                raise MachineFormatError(f"next state {q2} out of range", lineno)
             move = {"L": LEFT, "R": RIGHT, "S": STAY}[d]
             rules.setdefault((q, s), []).append(GeneralRule(write=w_, move=move, next_state=q2))
         else:
@@ -844,9 +797,11 @@ def normalize(g: GeneralMachine, state_cap: int = 10_000) -> NormalizeResult:
                       + [t for succ in branches.values() for t in succ]) + 1
     machine = Machine(name=g.name + "_normal", state_count=state_count,
                       alphabet=g.alphabet, rules=rules, branches=branches)
-    violations = validate_normal_form(machine)
-    if violations:  # construction bug guard; should be unreachable
-        raise AssertionError("normalize produced an invalid machine: " + "; ".join(map(str, violations)))
+    try:  # construction bug guard, unreachable: a valid machine reads back from its text
+        if parse_machine(machine_to_text(machine)) != machine:
+            raise MachineFormatError("it does not read back from its text")
+    except MachineFormatError as err:
+        raise AssertionError(f"normalize produced an invalid machine: {err}") from None
     # +1 covers the accept sweep (at most one move per visited cell plus the
     # final attempt); +2 covers acceptance at time zero (funnel write + exit).
     return NormalizeResult(machine=machine, step_blowup=max_cost + 1, step_overhead=2)

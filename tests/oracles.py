@@ -39,9 +39,10 @@ from tmlab import (
     Partition,
     RIGHT,
     Trace,
+    machine_to_text,
+    parse_machine,
     partition_for_trace,
     phase_records,
-    validate_normal_form,
     verify_story,
 )
 
@@ -367,6 +368,11 @@ def crossings_off_heads(trace: Trace, n: int) -> int:
     return moves + (n if edge_exit else 0)
 
 
+def split_history(h: tuple[Descriptor, ...]) -> tuple[tuple[Descriptor, ...], tuple[Descriptor, ...]]:
+    """Separate a history ``S_j`` into its rightward (+1) and leftward (-1) parts."""
+    return (tuple(d for d in h if d.delta == RIGHT), tuple(d for d in h if d.delta == LEFT))
+
+
 def random_machine(rng: random.Random, max_states: int = 7) -> Machine:
     """A random valid normal-form machine over the alphabet (0, a, b)."""
     state_count = rng.randint(3, max_states)
@@ -389,7 +395,7 @@ def random_machine(rng: random.Random, max_states: int = 7) -> Machine:
                                         write=rng.choice(alphabet))
     m = Machine(name=f"random_{rng.randrange(10**6)}", state_count=state_count,
                 alphabet=alphabet, rules=rules, branches=branches)
-    assert not validate_normal_form(m)
+    assert parse_machine(machine_to_text(m)) == m
     return m
 
 
@@ -417,6 +423,21 @@ def scribble(K: int) -> Machine:
         pick = after
     m = Machine(name=f"scribble_{K}", state_count=1 + 4 * K if K else 2,
                 alphabet=alphabet, rules=rules, branches=branches)
-    assert not validate_normal_form(m)
+    assert parse_machine(machine_to_text(m)) == m
+    return m
+
+
+def ruler(K: int) -> Machine:
+    """A deterministic machine that walks ``K >= 1`` cells right, then accepts.
+
+    It moves right over blanks ``K`` times, one state per cell, then
+    sweeps left in state 1 and accepts off the left end.  On the empty
+    input it runs in ``T = 2K + 1`` steps and visits ``K + 1`` cells.
+    """
+    walk = [0] + list(range(2, K + 1)) + [1]
+    rules = {(q, BLANK): DetRule(next_state=after, move=RIGHT) for q, after in zip(walk, walk[1:])}
+    rules[(1, BLANK)] = DetRule(next_state=1, move=LEFT)
+    m = Machine(name=f"ruler_{K}", state_count=K + 1, alphabet=(BLANK,), rules=rules)
+    assert parse_machine(machine_to_text(m)) == m
     return m
 

@@ -35,12 +35,11 @@ from tmlab import (
     run_with_choices,
     simulate_mstar,
     simulate_phase,
-    split_history,
 )
 from tmlab.block_check import advance_frontier, start_frontier
 
 from conftest import all_inputs, scale_for
-from oracles import block_story_feasible, general_accepts, random_machine
+from oracles import block_story_feasible, general_accepts, random_machine, split_history
 
 DATA = Path(__file__).parent / "data"
 

@@ -18,11 +18,11 @@ from tmlab import (
     partition_for_trace,
     run_direct,
     run_with_choices,
-    split_history,
 )
 
 from conftest import assert_one_walk
-from oracles import crossings_off_heads, random_machine, replay_phase_count, replay_phase_table
+from oracles import (crossings_off_heads, random_machine, replay_phase_count, replay_phase_table,
+                     split_history)
 
 
 def random_run(seed: int, max_time: int = 18):
@@ -134,12 +134,14 @@ def test_accepting_runs_have_even_phase_counts(seed, n):
     # An accepting run leaves cell 1 and comes back, so it crosses each
     # milestone an even number of times, and k(P) = 1 + crossings(P) + 1
     # (the opener and the exit) is even.  The sum identity gives
-    # min_P k(P) <= n + 1, so at an even n some partition has at most n.
-    # (At n = 1 the one-step budget admits no accepting run.)
+    # min_P k(P) <= n + 1, so some partition has at most n + n % 2: the
+    # story search's phase bound.  (At n = 1 the one-step budget admits
+    # no accepting run.)
     trace = accepting_run(seed, n)
     assert trace is not None
     rep = check_phase_lemma(trace, n)
     assert all(k % 2 == 0 for k in rep.per_P.values()), rep.per_P
+    assert min(rep.per_P.values()) <= n + n % 2
     assert rep.holds or n % 2 == 1
 
 

@@ -183,17 +183,6 @@ def test_mstar_rejects_scale_below_input():
         simulate_mstar(m, "aaa", 2)
 
 
-@pytest.mark.parametrize("max_phases", [1, 0, -5])
-def test_mstar_phase_bound_below_two_is_an_error(corpus, max_phases):
-    # a bound below 2 walks nothing, so a rejection would wrongly claim that
-    # no computation accepts within n^2 steps, as run_direct shows one does
-    m = corpus["sweep_right"]
-    assert run_direct(m, "ab", 9).accepted
-    with pytest.raises(ValueError, match="at least 2 phases"):
-        simulate_mstar(m, "ab", 3, max_phases=max_phases)
-    assert simulate_mstar(m, "ab", 3, max_phases=2).accepted
-
-
 def test_mstar_node_cap_is_an_error(corpus):
     from tmlab import ResourceCapExceeded
     with pytest.raises(ResourceCapExceeded):
@@ -229,25 +218,28 @@ def test_mstar_rejects_at_once_when_no_rule_leaves_the_start_state():
 
 
 CUT_THEN_HALT = """\
-states 7
+states 9
 alphabet 0 a
 nondet 0 2 3
 det 2 0 move R 4
 det 3 0 move R 5
-det 4 0 move R 6
-det 6 0 move L 1
+det 4 0 move L 6
+det 5 0 move L 8
+det 6 0 move R 7
+det 7 0 move L 1
 det 1 0 move L 1
 """
 
 
 def test_one_cut_prefix_on_the_last_level_keeps_the_walk_incomplete():
-    # at n = 3 and P = 1 the last level holds two prefixes in block 2: state
-    # 4's still has an exit back into block 1, and state 5's halts. The first
-    # cuts the walk, though the last does not, so P = 3, where the same run
-    # accepts in 2 phases, is still reached
+    # at n = 3 and P = 1 the last level, phase 3, holds two prefixes back in
+    # block 1: state 6's still has an exit into block 2, and state 8's
+    # halts. The first cuts the walk, though the last does not, so P = 2,
+    # where the same run stays in block 1 and accepts in 2 phases, is still
+    # reached
     m = parse_machine(CUT_THEN_HALT)
     result = simulate_mstar(m, "", 3)
-    assert result.accepted and (result.winning.partition.P, result.winning.k) == (3, 2)
+    assert result.accepted and (result.winning.partition.P, result.winning.k) == (2, 2)
     assert result.complete_walk_P is None
 
 
@@ -266,7 +258,7 @@ def test_complete_walk_means_no_run_and_no_story_accepts(seed):
     got = simulate_mstar(m, w, n)
     if got.complete_walk_P is not None:
         assert not run_direct(m, w, n * n).accepted
-        assert first_verified_story(m, w, n, kmax=max(2, n)) is None
+        assert first_verified_story(m, w, n, kmax=n + n % 2) is None
 
 
 THREE_WAY_GUESS = """\
@@ -284,7 +276,7 @@ det 1 a move L 1
 
 
 def test_mstar_winner_is_least_closing_prefix_of_the_last_phase():
-    # three prefixes reach phase 3 (k = max(2, n) = 4), in the order of the
+    # three prefixes reach phase 3 (k = n + n % 2 = 4), in the order of the
     # state they cross into block 2 with: 4 halts in block 1, 5 and 8 close
     m = parse_machine(THREE_WAY_GUESS)
     result = simulate_mstar(m, "a", 4)
@@ -305,8 +297,8 @@ def test_mstar_matches_first_verified_story(seed):
         (1, s): DetRule(next_state=1, move=LEFT) for s in m.alphabet}})
     w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
     n = max(len(w), 2)
-    want = first_verified_story(m, w, n, kmax=n + 2)
-    got = simulate_mstar(m, w, n, max_phases=n + 2)
+    want = first_verified_story(m, w, n, kmax=n + n % 2)
+    got = simulate_mstar(m, w, n)
     assert got.accepted == (want is not None)
     if want is not None:
         assert (got.winning, got.phase_steps, got.witness_choices) == (

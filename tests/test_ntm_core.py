@@ -28,7 +28,6 @@ from tmlab import (
     parse_machine,
     run_direct,
     run_with_choices,
-    validate_normal_form,
 )
 
 from oracles import (
@@ -77,7 +76,7 @@ alphabet 0 a
 det 3 a move R 0
 nondet 3 1 2
 """
-    with pytest.raises(MachineFormatError, match="mixed-state"):
+    with pytest.raises(MachineFormatError, match="line 4: state 3 has both det rules and a nondet line"):
         parse_machine(text)
 
 
@@ -132,6 +131,37 @@ def test_both_formats_refuse_a_header_fault_alike(body, line, message):
     assert errors[0] == errors[1] == (f"line {line}: {message}", line)
 
 
+RULES_AFTER = ["states 3", "alphabet 0 a", "det 0 a move R 0"]
+
+
+@pytest.mark.parametrize("body, line, message, general", [
+    (RULES_AFTER + ["det 7 0 move L 1"], 5, "rule state 7 out of range", "rule 7 0 0 L 1"),
+    (RULES_AFTER + ["det -1 0 move L 1"], 5, "rule state -1 out of range", "rule -1 0 0 L 1"),
+    (RULES_AFTER + ["det 0 c move L 1"], 5, "rule symbol 'c' not in alphabet", "rule 0 c 0 L 1"),
+    (RULES_AFTER + ["det 0 0 move L 9"], 5, "next state 9 out of range", "rule 0 0 0 L 9"),
+    (RULES_AFTER + ["det 0 0 write c 1"], 5, "written symbol 'c' not in alphabet", "rule 0 0 c S 1"),
+    (RULES_AFTER + ["nondet 7 0 1"], 5, "rule state 7 out of range", None),
+    (RULES_AFTER + ["nondet 2 0 9"], 5, "successor state 9 out of range", None),
+    (RULES_AFTER + ["det 2 a move R 0", "nondet 2 0 1"], 6,
+     "state 2 has both det rules and a nondet line", None),
+    (RULES_AFTER + ["nondet 2 0 1", "det 2 a move R 0"], 6,
+     "state 2 has both det rules and a nondet line", None),
+    (["states 1", "alphabet 0 a", "det 0 0 write a 0"], 1,
+     "need at least states 0 (initial) and 1 (accepting)", None),
+], ids=["det-state", "det-negative-state", "det-symbol", "det-next-state", "det-written-symbol",
+        "nondet-state", "nondet-successor", "mixed-det-first", "mixed-nondet-first", "one-state"])
+def test_every_rule_fault_is_named_at_its_line(body, line, message, general):
+    """A rule line's state, symbol and successor faults are refused at that
+    line; a general ``rule`` line with the same fault reads the same."""
+    with pytest.raises(MachineFormatError) as err:
+        parse_machine("".join(f"{b}\n" for b in ["machine m", *body]))
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+    if general is not None:
+        with pytest.raises(MachineFormatError) as err:
+            parse_general_machine(f"general g\nstates 3\nalphabet 0 a\naccept 1\n{general}\n")
+        assert (str(err.value), err.value.line) == (f"line 5: {message}", 5)
+
+
 def test_parse_rejects_duplicate_rule():
     text = "states 2\nalphabet 0\ndet 0 0 move R 1\ndet 0 0 write 0 1\n"
     with pytest.raises(MachineFormatError, match="duplicate rule"):
@@ -164,26 +194,24 @@ def test_machine_roundtrip_through_text(corpus):
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validity of machines built in code
 
 
-def test_validate_corpus_machines_clean(corpus):
-    for m in corpus.values():
-        assert validate_normal_form(m) == []
-
-
-def test_validate_flags_move_and_write():
-    bad = Machine(name="bad", state_count=2, alphabet=(BLANK,),
-                  rules={(0, BLANK): DetRule(next_state=1, move=RIGHT, write=BLANK)})
-    violations = validate_normal_form(bad)
-    assert len(violations) == 1
-    v = violations[0]
-    assert v.kind == "move-and-write" and v.state == 0 and v.symbol == BLANK
-
-
-def test_validate_flags_missing_blank():
-    bad = Machine(name="bad", state_count=2, alphabet=("a",), rules={})
-    assert any(v.kind == "missing-blank" for v in validate_normal_form(bad))
+@pytest.mark.parametrize("alphabet, rule, refused", [
+    ((BLANK,), DetRule(next_state=1, move=RIGHT, write=BLANK), None),
+    (("a",), DetRule(next_state=1, move=RIGHT), "line 3: alphabet must include the blank symbol"),
+    ((BLANK,), DetRule(next_state=1, move=2), None),
+    ((BLANK,), DetRule(next_state=5, move=LEFT), "line 4: next state 5 out of range"),
+], ids=["move-and-write", "missing-blank", "bad-direction", "state-out-of-range"])
+def test_invalid_code_built_machine_does_not_read_back(alphabet, rule, refused):
+    """A machine built in code is valid iff its text reads back to it: the
+    reader refuses the text, or the text cannot say the invalid rule."""
+    bad = Machine(name="bad", state_count=2, alphabet=alphabet, rules={(0, alphabet[0]): rule})
+    if refused is None:
+        assert parse_machine(machine_to_text(bad)) != bad
+    else:
+        with pytest.raises(MachineFormatError, match=refused):
+            parse_machine(machine_to_text(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +437,7 @@ def test_normalize_one_rule_machine_has_three_states():
         "general one_rule\nstates 2\nalphabet 0 a\naccept 1\nrule 0 0 a R 1\n")
     res = normalize(g)
     assert res.machine.state_count == 3
-    assert validate_normal_form(res.machine) == []
+    assert parse_machine(machine_to_text(res.machine)) == res.machine
     assert run_direct(res.machine, "", 10).accepted
 
 
