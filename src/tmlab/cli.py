@@ -84,14 +84,28 @@ def _usage(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
-@functools.lru_cache(maxsize=64)
+_PARSE_CACHE_SIZE = 64
+_parsed: list = []  # (text, machine) of the last texts parsed, most recent first
+
+
 def _parse_text(text: str):
     """:func:`parse_machine`, once per distinct text in this process.
 
     Exact, since the same text always gives the same machine, and parsed
     machines are never mutated.  A text that fails to parse is not cached.
+    The cache is a list of at most :data:`_PARSE_CACHE_SIZE` entries searched
+    with ``==``: once full, a miss drops the last entry and inserts in its
+    place, so no question pays for the cache growing or being rebuilt.
     """
-    return parse_machine(text)
+    for i, entry in enumerate(_parsed):
+        if entry[0] == text:
+            _parsed.insert(0, _parsed.pop(i))
+            return entry[1]
+    machine = parse_machine(text)
+    if len(_parsed) == _PARSE_CACHE_SIZE:
+        _parsed.pop()
+    _parsed.insert(0, (text, machine))
+    return machine
 
 
 def _load_machine(path: str, w: str, n: Optional[int] = None):

@@ -63,7 +63,8 @@ class NodeBudget:
 
     Charged once per expanded configuration; exceeding the limit raises
     :class:`ResourceCapExceeded` so callers can distinguish "too much work"
-    from a verdict.
+    from a verdict.  A search that ends at a repeated level charges nothing
+    for the levels it skips.
     """
 
     __slots__ = ("limit", "used", "what")
@@ -417,14 +418,18 @@ def run_with_choices(m: Machine, w: str, choices: ChoiceSource, max_time: int) -
 
 @dataclass(frozen=True)
 class RawStop:
-    """Where one computation of :func:`search_configurations` stopped."""
+    """Where one computation of :func:`search_configurations` stopped.
+
+    Cap stops come with the last level's stops, in no promised order, and
+    carry no picks: ``choices`` is ``()`` for every ``"cap"``.
+    """
 
     kind: str                # "exit" | "halt" | "cap"
     delta: Optional[int]     # exit side for "exit"
     state: int               # exit state ("exit") or halting state
     content: str
     steps: int
-    choices: tuple[int, ...]
+    choices: tuple[int, ...]  # branch picks; () for "cap"
 
 
 def _write(content: str, pos: int, symbol: str) -> str:
@@ -453,14 +458,21 @@ def search_configurations(m: Machine, state: int, pos: int, content: str, step_c
     applied rules, kept at its first arrival.  Levels are expanded in
     order, each in the order its configurations arrived, so a first
     arrival carries the lexicographically least branch choices of its
-    length, and stops are yielded in order of fewest steps, then least
-    choices.  Configurations are deduplicated within a level only, so
+    length, and exits and halts are yielded in order of fewest steps, then
+    least choices.  Configurations are deduplicated within a level only, so
     level ``t`` is exactly the set of ends of the length-``t``
     computations, and a cap means some computation really runs that long.
 
-    Each expanded configuration is charged to ``work``.  While a level
-    holds a single deterministic configuration the search runs it ahead
-    without building levels.
+    A level that holds the same configurations as the level before it ends
+    the search.  Each level's successors depend only on its set of
+    configurations, so every later level is that same set up to the cap:
+    each of its configurations is yielded as a cap stop at ``step_cap``,
+    and every later exit or halt would repeat one already yielded, with
+    more steps.  Only the level before is kept to compare with.
+
+    Each expanded configuration is charged to ``work``, and nothing after
+    a repeat is.  While a level holds a single deterministic configuration
+    the search runs it ahead without building levels.
     """
     actions = m.actions
     branches = m.branches
@@ -523,7 +535,7 @@ def search_configurations(m: Machine, state: int, pos: int, content: str, step_c
                 # one more expansion is due when the budget, not the cap, stopped the run
                 work.charge(t - start + (kind is None and t >= last))
                 if kind is not None:
-                    yield stop(kind, delta, q, c, t, chain)
+                    yield stop(kind, delta, q, c, t, None if kind == "cap" else chain)
                     return
                 level = {(q, p, c): chain}
         t += 1
@@ -554,10 +566,15 @@ def search_configurations(m: Machine, state: int, pos: int, content: str, step_c
                     yield stop("halt", None, nq, nc, t, at)
                 elif t >= step_cap:
                     nxt[key] = ended
-                    yield stop("cap", None, nq, nc, t, at)
+                    yield stop("cap", None, nq, nc, t, None)
                 else:
                     nxt[key] = at
-        level = {key: at for key, at in nxt.items() if at is not ended}
+        running = {key: at for key, at in nxt.items() if at is not ended}
+        if running.keys() == level.keys():  # a repeat: every later level is this one
+            for q, p, c in running:
+                yield stop("cap", None, q, c, step_cap, None)
+            return
+        level = running
 
 
 @dataclass(frozen=True)

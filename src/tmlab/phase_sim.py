@@ -90,7 +90,8 @@ def simulate_phase(m: Machine, d_in: Descriptor, d_out: Descriptor, x: str,
     Outcomes are deduplicated on ``(content, state, exit side)``, keeping
     the cheapest realization, and listed in order of fewest steps, then
     lexicographically least choices: the order stops arrive in, so the
-    first arrival of an outcome is its cheapest.
+    first arrival of an outcome is its cheapest.  Step-cap outcomes carry
+    ``choices == ()``.
     """
     block = validate_descriptor_pair(d_in, d_out)
     seen: dict[tuple, PhaseOutcome] = {}

@@ -4,7 +4,9 @@ These deliberately avoid the configuration search, the phase simulator
 and the block checker: runs and block feasibility are decided by running
 the machine on absolute tape cells with :func:`step`, this module's own
 one-configuration-at-a-time copy of the step semantics, enumerating
-every nondeterministic choice sequence.  Phase counts come from replaying
+every nondeterministic choice sequence; :func:`block_search` instead
+builds every level of configurations up to its cap, picking each one's
+least choices with ``min``.  Phase counts come from replaying
 a trace against each partition, never from the one-pass table of
 :func:`tmlab.check_phase_lemma` they check.  A single computation is
 replayed one :func:`step` call at a time, never through the in-place
@@ -274,6 +276,71 @@ def block_stops(m: Machine, partition: Partition, j: int, entry_state: int,
 
     rec(start, 0)
     return stops
+
+
+@dataclass(frozen=True)
+class OracleSearch:
+    first: dict            # (kind, delta, state, content) -> least (steps, picks) of its stops
+    at_cap: frozenset      # (state, content) of each computation still running at step_cap
+
+    @property
+    def capped(self) -> bool:
+        """Some computation is still running at ``step_cap``."""
+        return bool(self.at_cap)
+
+
+def block_search(m: Machine, partition: Partition, j: int, entry_state: int,
+                 entry_delta: int, content: str, step_cap: int) -> OracleSearch:
+    """Every stop of the machine inside block ``j``'s real cells, level by level.
+
+    Unlike :func:`block_stops` it follows configurations, not choice
+    sequences, so a branch state that lists itself costs one configuration
+    per step.  Level ``t`` maps each configuration reached in exactly ``t``
+    steps to the least picks reaching it, chosen with ``min``; every level
+    up to ``step_cap`` is built, whether or not it repeats the one before.
+    """
+    lo, hi = partition.block_range(j)
+    assert hi - lo + 1 == len(content)
+    first: dict = {}
+    at_cap = set()
+
+    def snapshot(tp):
+        return "".join(tp.get(c, BLANK) for c in range(lo, hi + 1))
+
+    def record(kind, delta, state, tape, steps, picks):
+        key = (kind, delta, state, snapshot(tape))
+        first[key] = min(first.get(key, (steps, picks)), (steps, picks))
+
+    start = Configuration(state=entry_state, head=lo if entry_delta == RIGHT else hi,
+                          tape={lo + idx: s for idx, s in enumerate(content)})
+    level = [((), start)]
+    for steps in range(step_cap + 1):
+        reached: dict = {}
+        for picks, config in level:
+            branch = is_branch_state(m, config.state)
+            if not branch and rule_for(m, config.state, scanned(config)) is None:
+                record("halt", None, config.state, config.tape, steps, picks)
+                continue
+            if steps == step_cap:
+                at_cap.add((config.state, snapshot(config.tape)))
+                continue
+            moves = ([(picks + (idx,), step(m, config, idx))
+                      for idx in range(len(m.branches[config.state]))] if branch
+                     else [(picks, step(m, config))])
+            for picks_after, nxt in moves:
+                if isinstance(nxt, HaltReason):
+                    # left-move attempt from cell 1; only possible when lo == 1
+                    record("exit", LEFT, config.state, config.tape, steps + 1, picks_after)
+                elif nxt.head < lo:
+                    record("exit", LEFT, nxt.state, nxt.tape, steps + 1, picks_after)
+                elif nxt.head > hi:
+                    record("exit", RIGHT, nxt.state, nxt.tape, steps + 1, picks_after)
+                else:
+                    key = (nxt.state, nxt.head, snapshot(nxt.tape))
+                    reached[key] = min(reached.get(key, (picks_after, nxt)), (picks_after, nxt),
+                                       key=lambda entry: entry[0])
+        level = list(reached.values())
+    return OracleSearch(first, frozenset(at_cap))
 
 
 def block_story_feasible(m: Machine, partition: Partition, j: int, pairs,

@@ -12,6 +12,7 @@ from tmlab import (
     Descriptor,
     DetRule,
     LEFT,
+    NodeBudget,
     Partition,
     RIGHT,
     RejectReason,
@@ -114,6 +115,19 @@ def test_budget_exhaustion_is_flagged(corpus):
     rejected = check_block(m, BlockStory(block=2, entries=wrong), "aaaa", budget=64)
     (res,) = rejected
     assert not res.accepted and not res.budget_exhausted
+
+
+def test_a_repeated_level_still_exhausts_the_budget():
+    # state 2 lists itself and state 3 writes its way back to 2, so from
+    # step 1 on every level is {2, 3}: no computation stops, and the cap is
+    # reached, after four expansions rather than twenty thousand
+    m = parse_machine("states 4\nalphabet 0\nnondet 2 2 3\ndet 3 0 write 0 2\n")
+    entries = (Descriptor(1, 1, 2, RIGHT), Descriptor(2, 2, 2, RIGHT))
+    work = NodeBudget(100, "test search")
+    (res,) = check_block(m, BlockStory(block=2, entries=entries), "0", budget=10_000, work=work)
+    assert not res.accepted and res.budget_exhausted
+    assert (res.failed_phase, res.reject_reason) == (1, RejectReason.STEP_CAP_EXCEEDED)
+    assert work.used == 4  # the run, the one configuration of level 0 and the two of level 1
 
 
 # Visit 1 (phase 1) writes a or b on a one-cell block 2 and leaves right.

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,8 @@ from tmlab import (
     story_from_history,
     verify_story,
 )
-from tmlab.cli import _parse_text, build_parser, main
+from tmlab import cli
+from tmlab.cli import build_parser, main
 from tmlab.plain_argv import QUESTIONS, plain_question
 from tmlab.reporting import (
     StoryFormatError,
@@ -156,6 +159,18 @@ def test_run_resource_cap_exit_code(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", str(path), "--input", "",
                            "--max-steps", "20", "--node-cap", "50")
     assert code == 1 and "rejected" in out
+
+
+def test_a_level_that_repeats_ends_the_search(tmp_path, capsys):
+    # state 0 lists itself: every level is the one configuration of the
+    # start, so the first repeat decides a million steps in one expansion
+    path = tmp_path / "loop.tm"
+    path.write_text("states 3\nalphabet 0\nnondet 0 0 2\n")
+    code, out, _ = run_cli(capsys, "run", str(path), "--max-steps", "1000000",
+                           "--node-cap", "1000", "--json")
+    report = report_from_json(out)
+    assert code == 1 and report.verdict == "rejected"
+    assert report.resources["explored"] == 1
 
 
 def test_bad_flags_exit_64(machine_file, capsys):
@@ -805,15 +820,29 @@ def test_edited_machine_file_is_parsed_afresh(tmp_path, capsys):
     assert code == 1 and report_from_json(out).machine == "palindrome"
 
 
-def test_two_files_with_one_text_give_one_answer(tmp_path, capsys):
+def count_parses(monkeypatch) -> list:
+    """Make ``cli`` record each text it hands to ``parse_machine``."""
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_machine(text)
+
+    monkeypatch.setattr(cli, "parse_machine", counted)
+    return parsed
+
+
+def test_two_files_with_one_text_give_one_answer(tmp_path, capsys, monkeypatch):
+    parsed = count_parses(monkeypatch)
     answers = []
     for name in ("first.tm", "second.tm"):
         path = tmp_path / name
         path.write_text(corpus_text("guesser"), encoding="utf-8")
         answers.append(run_cli(capsys, "mstar", str(path), "--input", "aaaa", "-n", "4", "--json"))
-    hits = _parse_text.cache_info().hits
+    calls = len(parsed)
+    assert calls <= 1  # the first question parses, unless an earlier one did
     answers.append(run_cli(capsys, "mstar", str(path), "--input", "aaaa", "-n", "4", "--json"))
-    assert _parse_text.cache_info().hits == hits + 1
+    assert len(parsed) == calls and cli._parsed[0][0] == corpus_text("guesser")
     assert answers[0][0] == 0 and answers[0] == answers[1] == answers[2]
 
 
@@ -825,16 +854,50 @@ def test_invalid_machine_file_exits_65_on_every_call(tmp_path, capsys):
     assert answers[0] == answers[1] == answers[2]
 
 
-def test_parse_cache_stays_within_its_bound(tmp_path, capsys):
-    bound = _parse_text.cache_info().maxsize
+def renamed_always_accept(tmp_path, name: str):
+    path = tmp_path / f"{name}.tm"
+    path.write_text(corpus_text("always_accept").replace("machine always_accept",
+                                                         f"machine {name}"),
+                    encoding="utf-8")
+    return path
+
+
+def test_parse_cache_stays_within_its_bound(tmp_path, capsys, monkeypatch):
+    parsed = count_parses(monkeypatch)
+    bound = cli._PARSE_CACHE_SIZE
     for i in range(bound + 6):
-        path = tmp_path / f"m{i}.tm"
-        path.write_text(corpus_text("always_accept").replace("machine always_accept",
-                                                             f"machine m{i}"),
-                        encoding="utf-8")
+        path = renamed_always_accept(tmp_path, f"m{i}")
         code, out, _ = run_cli(capsys, "run", str(path), "--max-steps", "2", "--json")
         assert code == 0 and report_from_json(out).machine == f"m{i}"
-    assert _parse_text.cache_info().currsize <= bound == 64
+    assert len(parsed) == bound + 6  # every text was new
+    assert len(cli._parsed) <= bound == 64
+
+
+def test_a_full_parse_cache_costs_each_miss_the_same(tmp_path, capsys):
+    # Once the cache is full, a miss replaces its oldest entry in place; a
+    # cache that rebuilt itself now and then would charge that to whichever
+    # question happened to trigger it.
+    def ask(name):
+        path = renamed_always_accept(tmp_path, name)
+        return run_cli(capsys, "run", str(path), "--max-steps", "2", "--json")
+
+    for i in range(cli._PARSE_CACHE_SIZE):
+        ask(f"fill{i:03d}")
+    peaks = []
+    gc.freeze()  # the collections below then scan only what the questions made
+    tracemalloc.start()
+    try:
+        for i in range(200):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code, _, _ = ask(f"miss{i:03d}")
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            assert code == 0
+    finally:
+        tracemalloc.stop()
+        gc.unfreeze()
+    assert max(peaks) - min(peaks) <= 1024, (min(peaks), max(peaks))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from tmlab import (
     LEFT,
     Machine,
     MachineFormatError,
+    Partition,
     RIGHT,
     ResourceCapExceeded,
     machine_to_text,
@@ -29,8 +30,10 @@ from tmlab import (
     run_direct,
     run_with_choices,
 )
+from tmlab.ntm_core import search_configurations
 
 from oracles import (
+    block_search,
     general_accepts,
     initial_configuration,
     least_accepting_run,
@@ -331,6 +334,37 @@ def test_run_direct_matches_brute_force_oracle(seed, budget):
     if want is not None:
         assert (got.usage.time, got.usage.space, got.witness.choices) == (
             want.time, want.space, want.choices)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=300, deadline=None)
+def test_configuration_search_matches_level_oracle(seed):
+    # random machines often draw a branch state that lists itself, whose
+    # levels repeat: the search must stop at the first repeat with the
+    # stops, and the computations running at the cap, of every level
+    rng = random.Random(seed)
+    m = random_machine(rng)
+    width = rng.randint(1, 4)
+    j = rng.randint(1, 2)
+    part = Partition(P=width, n=rng.randint(width, 4), r=2) if j == 1 else \
+        Partition(P=rng.randint(1, width), n=width, r=2)
+    delta = rng.choice((LEFT, RIGHT))
+    states = sorted(m.branches) if m.branches and rng.random() < 0.5 else range(m.state_count)
+    state = rng.choice(states)
+    content = "".join(rng.choice(m.alphabet) for _ in range(width))
+    cap = rng.randint(1, 30)
+    want = block_search(m, part, j, state, delta, content, cap)
+    first, at_cap = {}, set()
+    for stop in search_configurations(m, state, 0 if delta == RIGHT else width - 1, content, cap,
+                                      width=width, left_is_edge=(j == 1)):
+        if stop.kind == "cap":
+            assert (stop.steps, stop.choices) == (cap, ())
+            at_cap.add((stop.state, stop.content))
+        else:
+            first.setdefault((stop.kind, stop.delta, stop.state, stop.content),
+                             (stop.steps, stop.choices))
+    assert first == want.first
+    assert bool(at_cap) == want.capped and at_cap == want.at_cap
 
 
 def test_space_never_exceeds_time_plus_one(corpus):
