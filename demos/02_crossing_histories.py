@@ -13,7 +13,6 @@ from tmlab import (
     LEFT,
     RIGHT,
     Partition,
-    block_story,
     extract_history,
     load_corpus_machine,
     run_direct,
@@ -40,10 +39,9 @@ print("\n=== splitting a history by direction ===")
 print(f"  H_3 rightward: {[d.astuple() for d in hist.milestone(3) if d.delta == RIGHT]}")
 print(f"  H_3 leftward:  {[d.astuple() for d in hist.milestone(3) if d.delta == LEFT]}")
 
-print("\n=== per-block stories: in/out crossing pairs ===")
+print("\n=== per-block visits: the walk's in/out crossing pairs ===")
 for j in (1, 3, 4, 5):
-    bs = block_story(hist, j)
-    pairs = [(a.astuple(), b.astuple()) for a, b in bs.pairs()]
+    pairs = [(a.astuple(), b.astuple()) for a, b in hist.visits(j)]
     print(f"  block {j}: {pairs if pairs else 'never visited'}")
 
 print("\nBlock 4 is entered twice, both times from the left, and each visit")

@@ -8,9 +8,7 @@ frontier, every content it can hold, through its visits one at a time.
 """
 
 from tmlab import (
-    BlockStory,
     Descriptor,
-    block_story,
     check_block,
     corpus_machines,
     extract_history,
@@ -45,18 +43,18 @@ outs = simulate_phase(sweep, rec.entered, wrong, rec.content_before, step_cap=16
 print(f"  claiming exit state {wrong.state}: "
       f"{[(o.accepted, o.reject_reason.value) for o in outs]}")
 
-print("\n=== checking a whole block story ===")
+print("\n=== checking a block's visits, read off the walk ===")
 hist = extract_history(r.witness, part)
-bs = block_story(hist, 1)
+visits = hist.visits(1)
 x0 = initial_block_content(1, part, "abab")
-results = check_block(sweep, bs, x0, budget=16)
+results = check_block(sweep, 1, visits, x0, budget=16)
 for res in results:
     print(f"  accepted={res.accepted} chain={res.content_chain} steps={res.steps_consumed}")
 
-print("\n=== and a mutated story fails ===")
-entries = list(bs.entries)
-d = entries[1]
-entries[1] = Descriptor(d.phase, d.milestone, 2, d.delta)  # state 2 never exits a block
-broken = BlockStory(block=1, entries=tuple(entries))
-results = check_block(sweep, broken, x0, budget=16)
-print(f"  accepted={any(res.accepted for res in results)}")
+print("\n=== and a mutated visit fails ===")
+d_in, d_out = visits[0]
+# state 2 never exits a block
+broken = [(d_in, Descriptor(d_out.phase, d_out.milestone, 2, d_out.delta))]
+results = check_block(sweep, 1, broken + visits[1:], x0, budget=16)
+print(f"  accepted={any(res.accepted for res in results)}, "
+      f"reason={results[0].reject_reason.value} at phase {results[0].failed_phase}")

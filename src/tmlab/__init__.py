@@ -31,15 +31,12 @@ from .ntm_core import (
     run_with_choices,
 )
 from .crossing import (
-    BlockStory,
     Descriptor,
     History,
     InconsistentDescriptors,
     OPENER,
     Partition,
     RegionExceeded,
-    StoryStructureError,
-    block_story,
     check_phase_lemma,
     extract_history,
     merge_by_phase,

@@ -1,11 +1,11 @@
-"""Coherence checking of one block's story, one visit at a time.
+"""Coherence checking of one block's visits, one visit at a time.
 
-A block story claims the block was visited a number of times, each visit
-framed by an in-crossing and an out-crossing.  Whether a whole story is
-well formed is decided by :meth:`tmlab.crossing.History.violations`, and
-whether one block story's pairs are by
-:meth:`tmlab.crossing.BlockStory.check`; this module only asks whether the
-visits can run.  The block's *frontier* maps every content it can hold
+A story claims each block was visited a number of times, each visit
+framed by an in-crossing and an out-crossing: the pairs
+:meth:`tmlab.crossing.History.visits` reads off the walk.  Whether a
+story is well formed is decided by
+:meth:`tmlab.crossing.History.violations`; this module only asks whether
+the visits can run.  The block's *frontier* maps every content it can hold
 after the visits so far to the cheapest way there.
 :func:`advance_frontier` is the one step that runs a block's visits: it
 runs the visit's phase once from each content of the frontier and groups
@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .crossing import BlockStory, Descriptor, Partition, exit_milestone
+from .crossing import Descriptor, Partition, exit_milestone
 from .ntm_core import BLANK, Machine, NodeBudget, RawStop
 from .phase_sim import RejectReason, enumerate_block_runs, reject_reason
 
@@ -52,7 +52,7 @@ def initial_block_content(j: int, partition: Partition, w: str) -> str:
 
 @dataclass(frozen=True)
 class BlockCheckResult:
-    """One way (or failure) to realize a block story.
+    """One way (or failure) to realize a block's visits.
 
     ``content_chain`` lists the block's contents before/after each visit;
     ``choices_per_visit`` the branch picks of each visit's accepted phase
@@ -114,36 +114,35 @@ def advance_frontier(m: Machine, d_in: Descriptor, block: int, frontier: Frontie
     return Visit(exits, capped, first)
 
 
-def check_block(m: Machine, bs: BlockStory, x0: str, budget: int,
-                work: Optional[NodeBudget] = None) -> list[BlockCheckResult]:
-    """Search for content chains realizing every visit of ``bs``.
+def check_block(m: Machine, block: int, visits: list[tuple[Descriptor, Descriptor]], x0: str,
+                budget: int, work: Optional[NodeBudget] = None) -> list[BlockCheckResult]:
+    """Search for content chains realizing every ``(in, out)`` visit of
+    ``block``, in the order given.
 
     Returns accepted results deduplicated by final content (cheapest chain
     kept), or a single non-accepted result whose ``budget_exhausted`` flag
     tells whether a larger budget could still change the verdict and
     whose ``failed_phase`` and ``reject_reason`` say where and why the
-    deepest chain stopped.  An empty story accepts vacuously with the chain
-    ``[x0]``.  Raises :class:`~tmlab.crossing.StoryStructureError` when
-    :meth:`BlockStory.check` does, which cannot happen for a block of a
-    story that passes :meth:`~tmlab.crossing.History.violations`; a visit
-    claiming to leave through the wrong milestone is rejected as it runs,
-    as ``wrong-exit-*``.
+    deepest chain stopped.  An empty ``visits`` accepts vacuously with
+    the chain ``[x0]``.  The pairs are run as given, with no shape check
+    of their own (:meth:`~tmlab.crossing.History.violations` is the
+    story's); a visit claiming to leave through the wrong milestone is
+    rejected as it runs, as ``wrong-exit-*``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    bs.check()
     work = work or NodeBudget(sys.maxsize)
     frontier = start_frontier(x0)
     saw_cap = False
-    for d_in, d_out in bs.pairs():
-        visit = advance_frontier(m, d_in, bs.block, frontier, budget, work)
+    for d_in, d_out in visits:
+        visit = advance_frontier(m, d_in, block, frontier, budget, work)
         saw_cap |= visit.capped
         frontier = (visit.exits.get((d_out.delta, d_out.state), {})
-                    if d_out.milestone == exit_milestone(bs.block, d_out.delta) else {})
+                    if d_out.milestone == exit_milestone(block, d_out.delta) else {})
         if not frontier:
             # every content failed this visit; name the first one's first outcome
             reason = (RejectReason.STEP_CAP_EXCEEDED if visit.first is None
-                      else reject_reason(visit.first, d_out, bs.block))
+                      else reject_reason(visit.first, d_out, block))
             return [BlockCheckResult(False, None, 0, (), budget_exhausted=saw_cap,
                                      failed_phase=d_in.phase, reject_reason=reason)]
     return [BlockCheckResult(True, chain, steps, picks)

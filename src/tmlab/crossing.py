@@ -17,9 +17,9 @@ This module also owns the one story-shape rule, :meth:`History.violations`:
 a history is a single head walk through blocks ``1..r``.  Its parts,
 which block a descriptor pair frames (:func:`validate_descriptor_pair`)
 and which milestone a move off a block crosses (:func:`exit_milestone`),
-are what the phase simulator and the block checker run against;
-:meth:`BlockStory.check` is the rule seen from one block, for callers
-that check a block story on its own.
+are what the phase simulator and the block checker run against.  A
+block's visits are the walk's phases on that block,
+:meth:`History.visits`, read off the walk when asked for.
 
 Conventions (fixed here, used everywhere):
 
@@ -47,10 +47,6 @@ from .ntm_core import BLANK, LEFT, RIGHT, HaltReason, Trace
 
 class RegionExceeded(ValueError):
     """The trace wandered past the partition's materialized blocks."""
-
-
-class StoryStructureError(ValueError):
-    """A history/story fails a structural requirement; the message names the phase."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +152,13 @@ class History:
         """``S_j``: the crossings of milestone ``j``, in phase order."""
         return tuple(d for d in self.walk if d.milestone == j)
 
+    def visits(self, j: int) -> list[tuple[Descriptor, Descriptor]]:
+        """Block ``j``'s visits: the ``(in, out)`` crossings of every phase
+        whose in-crossing enters block ``j``, in phase order."""
+        walk = self.walk
+        return [(d_in, d_out) for d_in, d_out in zip(walk, walk[1:])
+                if block_index_for(d_in) == j]
+
     def violations(self) -> list[str]:
         """Why the history is not one head walk through blocks ``1..r``.
 
@@ -166,8 +169,10 @@ class History:
         are ``1..k``, once each.  The walk implies the rest of the shape:
         each milestone's crossings alternate +1, -1, ...; milestone 0
         holds the opener and at most a final exit; ``S_{r+1}`` is empty;
-        there are ``k`` descriptors; and every block's visits pair up
-        (:meth:`BlockStory.check`).
+        there are ``k`` descriptors; and each of block ``j``'s
+        :meth:`visits` enters and leaves block ``j``, so the visits are
+        block ``j``'s crossings, milestones ``j - 1`` and ``j``, paired
+        in order.
         """
         r = self.partition.r
         out = [f"phase {d.phase}: {d.astuple()} enters block {block}, beyond r = {r}"
@@ -191,46 +196,6 @@ def merge_by_phase(*sequences: Iterable[Descriptor]) -> tuple[Descriptor, ...]:
     merged = [d for seq in sequences for d in seq]
     merged.sort(key=lambda d: d.phase)
     return tuple(merged)
-
-
-@dataclass(frozen=True)
-class BlockStory:
-    """Phase-ordered in/out descriptor pairs of one block's visits."""
-
-    block: int
-    entries: tuple[Descriptor, ...] = ()
-
-    def pairs(self) -> list[tuple[Descriptor, Descriptor]]:
-        return [(self.entries[i], self.entries[i + 1]) for i in range(0, len(self.entries), 2)]
-
-    def check(self):
-        """Raise :class:`StoryStructureError` unless the entries pair into
-        visits of this block: an even count, each pair framing a phase on
-        this block, and phase numbers strictly increasing.
-
-        The out-crossing's side is not checked here: a visit that claims to
-        leave through the wrong milestone is rejected when it runs.
-        """
-        if len(self.entries) % 2 != 0:
-            raise StoryStructureError(f"phase {self.entries[-1].phase}: block {self.block}: "
-                                      "odd number of descriptors")
-        for d_in, d_out in self.pairs():
-            try:
-                framed = validate_descriptor_pair(d_in, d_out)
-            except InconsistentDescriptors as err:
-                raise StoryStructureError(f"phase {d_in.phase}: block {self.block}: {err}") from None
-            if framed != self.block:
-                raise StoryStructureError(f"phase {d_in.phase}: block {self.block}: "
-                                          f"visit at phase {d_in.phase} frames block {framed}")
-        for a, b in zip(self.entries, self.entries[1:]):
-            if b.phase <= a.phase:
-                raise StoryStructureError(f"phase {b.phase}: block {self.block}: "
-                                          "phase numbers must strictly increase")
-
-
-def block_story(hist: History, j: int) -> BlockStory:
-    """Block ``j``'s visits: the crossings of milestones ``j-1`` and ``j``."""
-    return BlockStory(block=j, entries=tuple(d for d in hist.walk if d.milestone in (j - 1, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +322,7 @@ class LemmaReport:
     per_P: dict[int, int]
     sum: int
     best_P: int
-    holds: bool                 # some P has at most n phases
+    holds: bool                 # some P has k <= n: the paper's form, not the complete n + n % 2
     total_crossings: int        # milestone crossings summed over partitions
     sum_identity_ok: bool       # sum == total_crossings + n, by construction
     sum_within_square: bool     # sum <= n^2 + n (informational)
@@ -372,7 +337,10 @@ def check_phase_lemma(trace: Trace, n: int) -> LemmaReport:
     n + 1``, and a final left-edge attempt (accepting or ``LEFT_EDGE``)
     closes milestone 0 under every partition.  So ``k(P) = 1 +
     crossings(P) + edge_exit``, with no replay and no block snapshot.
-    ``holds`` reports whether some partition sees at most ``n`` phases.
+    ``holds`` tests the paper's form of the bound, some partition with at
+    most ``n`` phases.  That form is not the complete bound ``n + n % 2``
+    that :func:`tmlab.simulate_mstar` uses: ``ruler_12`` at ``n = 5``
+    needs 6 phases.
 
     ``total_crossings`` counts every milestone crossing over all ``n``
     partitions from the raw move count and the trace's recorded halt

@@ -44,7 +44,6 @@ from .crossing import (
     History,
     OPENER,
     Partition,
-    block_story,
     exit_milestone,
 )
 from .ntm_core import (
@@ -164,8 +163,8 @@ def verify_story(m: Machine, w: str, story: History, budget: Optional[int] = Non
 
     Raises :class:`InvalidStoryError` unless the story is an accepting
     walk of ``m`` (:meth:`History.violations` among its checks), so every
-    block checked is one of the walk's blocks ``1..r`` and its visits pair
-    up.  All blocks share one
+    block checked is one of the walk's blocks ``1..r``, and each of its
+    :meth:`History.visits` enters and leaves it.  All blocks share one
     cumulative budget of simulated machine steps (default ``n**2``).
     Accepts iff every block's visit chain can be realized within it; the
     result carries the time/space accounting of the accepting branch.
@@ -192,9 +191,9 @@ def verify_story(m: Machine, w: str, story: History, budget: Optional[int] = Non
     total_steps = 0
     choices_by_phase: dict[int, tuple[int, ...]] = {}
     for j in range(1, partition.r + 1):
-        bs = block_story(story, j)
+        visits = story.visits(j)
         x0 = initial_block_content(j, partition, w)
-        results = check_block(m, bs, x0, budget - total_steps, work=work)
+        results = check_block(m, j, visits, x0, budget - total_steps, work=work)
         if not results[0].accepted:
             failed, = results
             return MStarResult(accepted=False, winning=None, sim_time=None, sim_space=None,
@@ -204,7 +203,7 @@ def verify_story(m: Machine, w: str, story: History, budget: Optional[int] = Non
                                budget_exhausted=failed.budget_exhausted)
         best = min(results, key=lambda res: res.steps_consumed)  # the first of the cheapest
         total_steps += best.steps_consumed
-        for (d_in, _d_out), picks in zip(bs.pairs(), best.choices_per_visit):
+        for (d_in, _d_out), picks in zip(visits, best.choices_per_visit):
             choices_by_phase[d_in.phase] = picks
 
     witness = tuple(choices_by_phase.get(p, ()) for p in range(1, story.k))

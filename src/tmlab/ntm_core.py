@@ -809,10 +809,8 @@ def normalize(g: GeneralMachine, state_cap: int = 10_000) -> NormalizeResult:
     for s in g.alphabet:
         rules.setdefault((1, s), DetRule(next_state=1, move=LEFT))
 
-    state_count = max([fresh[0] - 1, 1] + [q for q in branches] + [q for (q, _s) in rules]
-                      + [r.next_state for r in rules.values()]
-                      + [t for succ in branches.values() for t in succ]) + 1
-    machine = Machine(name=g.name + "_normal", state_count=state_count,
+    # every state id used is below fresh[0], and fresh[0] >= 2 covers states 0 and 1
+    machine = Machine(name=g.name + "_normal", state_count=fresh[0],
                       alphabet=g.alphabet, rules=rules, branches=branches)
     try:  # construction bug guard, unreachable: a valid machine reads back from its text
         if parse_machine(machine_to_text(machine)) != machine:

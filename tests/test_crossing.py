@@ -6,13 +6,17 @@ straight walk back to an accepting exit.  Its histories under the (P=2,
 n=2) partition have a known closed form asserted literally below.
 """
 
+import math
+import random
+
 import pytest
 
 from tmlab import (
     CORPUS_MACHINES,
     Partition,
     RegionExceeded,
-    block_story,
+    RejectReason,
+    check_block,
     check_phase_lemma,
     extract_history,
     load_corpus_machine,
@@ -22,10 +26,12 @@ from tmlab import (
     phase_records,
     run_direct,
     run_with_choices,
+    story_from_history,
 )
 
 from conftest import all_inputs, assert_one_walk, scale_for
-from oracles import crossings_off_heads, replay_phase_count, replay_phase_table, split_history
+from oracles import (crossings_off_heads, random_machine, replay_phase_count, replay_phase_table,
+                     ruler, split_history)
 
 
 @pytest.fixture(scope="module")
@@ -106,17 +112,46 @@ def test_split_then_merge_reconstructs(zigzag_history):
 
 
 def test_block_story_oscillating_block(zigzag_history):
-    pairs = [(a.astuple(), b.astuple()) for a, b in block_story(zigzag_history, 4).pairs()]
+    pairs = [(a.astuple(), b.astuple()) for a, b in zigzag_history.visits(4)]
     assert pairs == [((4, 3, 7, +1), (5, 3, 8, -1)), ((6, 3, 9, +1), (7, 3, 10, -1))]
 
 
 def test_block_story_first_block(zigzag_history):
-    pairs = [(a.astuple(), b.astuple()) for a, b in block_story(zigzag_history, 1).pairs()]
+    pairs = [(a.astuple(), b.astuple()) for a, b in zigzag_history.visits(1)]
     assert pairs == [((1, 0, 0, +1), (2, 1, 3, +1)), ((9, 1, 14, -1), (10, 0, 1, -1))]
 
 
 def test_block_story_unvisited_block(zigzag_history):
-    assert block_story(zigzag_history, 5).entries == ()
+    assert zigzag_history.visits(5) == []
+
+
+def _accepted_histories():
+    """Histories of accepting runs: the corpus on short inputs,
+    ``ruler(4/12/24)`` at ``n = ⌈√T⌉``, and random machines."""
+    corpus = {name: load_corpus_machine(name) for name in CORPUS_MACHINES}
+    runs = [(m, w, scale_for(w)) for m in corpus.values() for w in all_inputs(max_len=4)]
+    runs += [(ruler(K), "", math.isqrt(2 * K) + 1) for K in (4, 12, 24)]
+    rng = random.Random(25)
+    runs += [(random_machine(rng), w, 3) for w in ("", "a", "ab", "bab") for _ in range(100)]
+    for m, w, n in runs:
+        r = run_direct(m, w, n * n)
+        if r.accepted:
+            for P in range(1, n + 1):
+                yield extract_history(r.witness, partition_for_trace(r.witness, P, n))
+
+
+def test_visits_pair_each_blocks_crossings_in_order():
+    """Block ``j``'s visits are milestones ``j-1`` and ``j``'s crossings,
+    paired in phase order, in every extracted history and in the story
+    trimmed from it."""
+    blocks = 0
+    for hist in _accepted_histories():
+        for h in (hist, story_from_history(hist)):
+            for j in range(1, h.partition.r + 2):
+                crossings = [d for d in h.walk if d.milestone in (j - 1, j)]
+                assert h.visits(j) == list(zip(crossings[::2], crossings[1::2])), (h, j)
+                blocks += 1
+    assert blocks > 1000
 
 
 def test_block_story_rejects_broken_alternation(zigzag_history):
@@ -135,16 +170,19 @@ def test_history_must_open_with_the_opener(zigzag_history):
     assert broken.violations() == ["histories must open with (1, 0, 0, 1)"]
 
 
-def test_block_story_rejects_an_exit_through_the_entry_side():
-    """The history rule requires each visit to leave its block, as the shape
-    check that ``check_block`` runs does not: there a wrong side is a run-time
-    rejection."""
-    from tmlab import BlockStory, Descriptor, History
+def test_block_story_rejects_an_exit_through_the_entry_side(corpus):
+    """The history rule requires each visit to leave its block; ``check_block``
+    runs the visit as given and rejects the wrong side at run time."""
+    from tmlab import Descriptor, History
     d = [Descriptor(1, 0, 0, +1), Descriptor(2, 1, 0, +1), Descriptor(3, 1, 1, +1),
          Descriptor(4, 0, 1, -1)]
     story = History(partition=Partition(P=1, n=2, r=2), walk=tuple(d))
     assert story.violations() == ["phase 3: (3, 1, 1, 1) does not leave block 2"]
-    BlockStory(block=2, entries=(d[1], d[2])).check()
+    visit = story.visits(2)[0]
+    assert visit == (d[1], d[2])
+    (res,) = check_block(corpus["sweep_right"], 2, [visit], "aa", 9)
+    assert (res.accepted, res.failed_phase, res.reject_reason) == (
+        False, 2, RejectReason.WRONG_EXIT_RIGHT)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_the_check_sees_each_way_in():
     for source in ("from tmlab import run_direct",
                    "from tmlab.phase_sim import simulate_phase as sim",
                    "from tmlab.mstar import *",
-                   "import tmlab\ntmlab.check_block(m, s, x, 9)",
+                   "import tmlab\ntmlab.check_block(m, j, visits, x, 9)",
                    "from tmlab import block_check\nblock_check.advance_frontier"):
         assert engine_uses(source), source
     assert engine_uses("from tmlab import verify_story, phase_records") == []
