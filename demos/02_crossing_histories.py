@@ -4,7 +4,9 @@ The tape is split into a first block of P cells and further blocks of n
 cells; the boundaries between blocks are milestones.  Replaying a trace
 yields a descriptor (phase, milestone, state, direction) for every
 milestone crossing; in phase order they are one walk, and milestone j's
-history H_j is the walk filtered to j.  The zigzag machine walks right to
+history H_j is the walk filtered to j.  The walk alone says how many
+blocks the run visits, r: the block past the rightmost milestone it
+crosses.  The zigzag machine walks right to
 the fourth block, bounces twice between blocks 4 and 3, then returns and
 accepts, so its histories have a clean closed form.
 """
@@ -22,16 +24,17 @@ zigzag = load_corpus_machine("zigzag")
 r = run_direct(zigzag, "", 20)
 print(f"zigzag run: accepted={r.accepted}, time={r.usage.time}, space={r.usage.space}")
 
-part = Partition(P=2, n=2, r=5)
+part = Partition(P=2, n=2)
 hist = extract_history(r.witness, part)
 
 print("\n=== the walk under P=2, n=2 (blocks of cells [1-2][3-4][5-6][7-8]...) ===")
 print(f"  {[d.astuple() for d in hist.walk]}")
 
+print(f"  it visits r = {hist.r} blocks")
+
 print("\n=== the same crossings, milestone by milestone ===")
-for j in range(part.r + 2):
-    if hist.milestone(j) or j <= 4:
-        print(f"  H_{j} = {[d.astuple() for d in hist.milestone(j)]}")
+for j in range(hist.r + 1):
+    print(f"  H_{j} = {[d.astuple() for d in hist.milestone(j)]}")
 print("(milestone 0 is the left end of the tape: the run opens with phase 1")
 print(" and the accepting exit closes it at phase 10, in state 1)")
 

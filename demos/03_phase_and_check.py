@@ -9,11 +9,11 @@ frontier, every content it can hold, through its visits one at a time.
 
 from tmlab import (
     Descriptor,
+    Partition,
     check_block,
     corpus_machines,
     extract_history,
     initial_block_content,
-    partition_for_trace,
     phase_records,
     run_direct,
     simulate_phase,
@@ -24,7 +24,7 @@ sweep = machines["sweep_right"]
 
 print("=== ground truth from a recorded run ===")
 r = run_direct(sweep, "abab", 16)
-part = partition_for_trace(r.witness, P=2, n=4)
+part = Partition(P=2, n=4)
 records = [rec for rec in phase_records(r.witness, part) if rec.left is not None]
 for rec in records:
     print(f"  phase {rec.phase}: block {rec.block} {rec.content_before!r} -> "

@@ -1,7 +1,8 @@
 """End-to-end story search: low space, linear-factor time overhead.
 
 The simulator guesses a story (first-block length, phase count, and the
-crossing descriptors) and verifies every block independently.  Each
+crossing descriptors) and verifies every block independently; the walk
+the descriptors make fixes which blocks, 1..r, there are to verify.  Each
 checked block turns one implication between milestone crossings true, and
 chained they reduce to "the accepting exit is realizable" (the argument is
 in ``verify_story``'s docstring), so acceptance of a story is sound; and
@@ -33,10 +34,9 @@ for name, w in [("always_accept", "ab"), ("sweep_right", "abab"),
 print("\n=== the winning story of the guesser on 'aaaa' ===")
 s = simulate_mstar(machines["guesser"], "aaaa", 4)
 g = s.winning
-print(f"  P={g.partition.P}, r={g.partition.r}, k={g.k}; descriptors:")
-for j in range(g.partition.r + 2):
-    if g.milestone(j):
-        print(f"    S_{j} = {[d.astuple() for d in g.milestone(j)]}")
+print(f"  P={g.partition.P}, r={g.r}, k={g.k}; descriptors:")
+for j in range(g.r):
+    print(f"    S_{j} = {[d.astuple() for d in g.milestone(j)]}")
 print(f"  accounting: phase steps {s.phase_steps}, guess cost {s.guess_cost}, "
       f"call overhead {s.overhead_steps}")
 print(f"  sim_time {s.sim_time} (= {s.sim_time / 16:.2f} * n^2), sim_space {s.sim_space}")

@@ -36,11 +36,9 @@ from .crossing import (
     InconsistentDescriptors,
     OPENER,
     Partition,
-    RegionExceeded,
     check_phase_lemma,
     extract_history,
     merge_by_phase,
-    partition_for_trace,
     phase_records,
 )
 from .phase_sim import RejectReason, simulate_phase

@@ -31,7 +31,7 @@ import functools
 import sys
 from typing import Optional
 
-from .crossing import check_phase_lemma, extract_history, partition_for_trace
+from .crossing import Partition, check_phase_lemma, extract_history
 from .mstar import InvalidStoryError, simulate_mstar, story_from_history, verify_story
 from .ntm_core import (
     DEFAULT_NODE_CAP,
@@ -177,7 +177,7 @@ def cmd_crossings(args) -> int:
         result = run_direct(machine, args.input, n * n, node_cap=args.node_cap)
         if result.accepted:
             lemma = check_phase_lemma(result.witness, n)
-            history = extract_history(result.witness, partition_for_trace(result.witness, lemma.best_P, n))
+            history = extract_history(result.witness, Partition(P=lemma.best_P, n=n))
             story = story_to_dict(story_from_history(history))
     except (ResourceCapExceeded, MemoryError, OverflowError) as err:
         return _capped(args, machine, "crossings", err, n)
@@ -225,7 +225,7 @@ def cmd_mstar(args) -> int:
                        story=story_to_dict(result.winning) if result.winning else None,
                        constants=constants)
     if result.accepted:
-        text = (f"accepted: P={part.P} r={part.r} k={result.winning.k}; "
+        text = (f"accepted: P={part.P} r={result.winning.r} k={result.winning.k}; "
                 f"sim_time {result.sim_time} <= {constants['time_constant']:.2f}*n^2, "
                 f"sim_space {result.sim_space}")
     else:

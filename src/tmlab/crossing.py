@@ -1,10 +1,10 @@
 """Tape partitions, milestone crossings, and the walk they make.
 
 A partition slices the tape into a first block of ``P`` cells followed by
-blocks of ``n`` cells.  The boundary between blocks ``j`` and ``j + 1`` is
-milestone ``j``; milestone 0 is the left end of the tape.  Replaying a
-trace against a partition yields a descriptor every time the head crosses
-a milestone.  In phase order these are the run's crossing sequence, the
+blocks of ``n`` cells, without end.  The boundary between blocks ``j``
+and ``j + 1`` is milestone ``j``; milestone 0 is the left end of the
+tape.  Replaying a trace against a partition yields a descriptor every
+time the head crosses a milestone.  In phase order these are the run's crossing sequence, the
 *walk* a :class:`History` holds and the object the guess-and-verify
 simulator guesses; milestone ``j``'s crossing history ``S_j`` is the walk
 filtered to milestone ``j``.  :func:`extract_history` builds the walk
@@ -14,7 +14,9 @@ never need: each phase's block at its start and end, its branch choices
 and its step count, the ground truth the tests check the simulator against.
 
 This module also owns the one story-shape rule, :meth:`History.violations`:
-a history is a single head walk through blocks ``1..r``.  Its parts,
+a history is a single head walk through blocks ``1..r``.  The walk alone
+fixes ``r`` (:attr:`History.r`), the block past the rightmost milestone it
+crosses, so no partition stores it.  The rule's parts,
 which block a descriptor pair frames (:func:`validate_descriptor_pair`)
 and which milestone a move off a block crosses (:func:`exit_milestone`),
 are what the phase simulator and the block checker run against.  A
@@ -45,23 +47,17 @@ from typing import Iterable, Optional
 from .ntm_core import BLANK, LEFT, RIGHT, HaltReason, Trace
 
 
-class RegionExceeded(ValueError):
-    """The trace wandered past the partition's materialized blocks."""
-
-
 @dataclass(frozen=True)
 class Partition:
-    """First-block length ``P``, block length ``n``, ``r`` blocks covered."""
+    """First-block length ``P`` and block length ``n``; the blocks go on
+    without end, and a walk says how many it visits."""
 
     P: int
     n: int
-    r: int
 
     def __post_init__(self):
         if not (1 <= self.P <= self.n):
             raise ValueError(f"need 1 <= P <= n, got P={self.P}, n={self.n}")
-        if self.r < 1:
-            raise ValueError("need at least one materialized block")
 
     def block_range(self, j: int) -> tuple[int, int]:
         """Inclusive cell range of block ``j``."""
@@ -72,16 +68,6 @@ class Partition:
     def block_length(self, j: int) -> int:
         lo, hi = self.block_range(j)
         return hi - lo + 1
-
-    def block_of_cell(self, cell: int) -> int:
-        if cell <= self.P:
-            return 1
-        return 2 + (cell - self.P - 1) // self.n
-
-    def milestone_cells(self) -> dict[int, int]:
-        """``{last cell of block j: j}`` for ``j`` in ``1..r``: milestone ``j``
-        is the boundary between that cell and the next."""
-        return {self.block_range(j)[1]: j for j in range(1, self.r + 1)}
 
 
 @dataclass(frozen=True, order=True)
@@ -148,6 +134,11 @@ class History:
         """The last phase: the walk's last descriptor's phase number (0 for no walk)."""
         return self.walk[-1].phase if self.walk else 0
 
+    @property
+    def r(self) -> int:
+        """Blocks the walk visits: the one past the rightmost milestone it crosses."""
+        return max((d.milestone for d in self.walk), default=0) + 1
+
     def milestone(self, j: int) -> tuple[Descriptor, ...]:
         """``S_j``: the crossings of milestone ``j``, in phase order."""
         return tuple(d for d in self.walk if d.milestone == j)
@@ -162,25 +153,18 @@ class History:
     def violations(self) -> list[str]:
         """Why the history is not one head walk through blocks ``1..r``.
 
-        Every descriptor enters a block no further right than ``r``.  The
-        walk's first descriptor is :data:`OPENER`, and each next one
+        The walk's first descriptor is :data:`OPENER`, and each next one
         carries the next phase number and leaves the block the previous
         one entered, both crossing in direction -1 or +1; so the phases
         are ``1..k``, once each.  The walk implies the rest of the shape:
         each milestone's crossings alternate +1, -1, ...; milestone 0
-        holds the opener and at most a final exit; ``S_{r+1}`` is empty;
-        there are ``k`` descriptors; and each of block ``j``'s
-        :meth:`visits` enters and leaves block ``j``, so the visits are
-        block ``j``'s crossings, milestones ``j - 1`` and ``j``, paired
-        in order.
+        holds the opener and at most a final exit; there are ``k``
+        descriptors; and each of block ``j``'s :meth:`visits` enters and
+        leaves block ``j``, so the visits are block ``j``'s crossings,
+        milestones ``j - 1`` and ``j``, paired in order.
         """
-        r = self.partition.r
-        out = [f"phase {d.phase}: {d.astuple()} enters block {block}, beyond r = {r}"
-               for d in self.walk if (block := block_index_for(d)) > r]
         if not self.walk or self.walk[0] != OPENER:
-            out.append(f"histories must open with {OPENER.astuple()}")
-        if out:
-            return out
+            return [f"histories must open with {OPENER.astuple()}"]
         for d_in, d_out in zip(self.walk, self.walk[1:]):
             try:
                 block = validate_descriptor_pair(d_in, d_out)
@@ -233,13 +217,12 @@ def _crossings(trace: Trace, partition: Partition):
     """Yield ``(row, descriptor)`` for each milestone crossing, in phase order.
 
     ``row`` indexes the crossing move in ``trace.steps``.  One pass over
-    the moves, no tape: milestone ``j`` is the boundary after block ``j``'s
-    last cell, and a final left-edge attempt closes milestone 0 and ends
-    the walk.  A move past the partition's ``r`` blocks raises
-    :class:`RegionExceeded`; the head gets there only across milestone ``r``.
+    the moves, no tape: a move crosses the boundary after cell ``b``, the
+    lower of the two cells it joins, and that boundary is milestone ``(b -
+    P) // n + 1`` iff ``b >= P`` and ``(b - P) % n == 0``.  A final
+    left-edge attempt closes milestone 0 and ends the walk.
     """
-    r = partition.r
-    milestone_after = partition.milestone_cells()
+    P, n = partition.P, partition.n
     phase = 1
     for row, (state, head, rule) in enumerate(trace.steps):
         if type(rule) is int:
@@ -249,17 +232,14 @@ def _crossings(trace: Trace, partition: Partition):
             if head == 1:
                 yield row, Descriptor(phase=phase + 1, milestone=0, state=state, delta=LEFT)
                 return
-            milestone = milestone_after.get(head - 1)
+            past = head - 1 - P
         elif move is None:
             continue
         else:
-            milestone = milestone_after.get(head)
-            if milestone == r:
-                raise RegionExceeded(
-                    f"head reached cell {head + 1}, beyond the {r} materialized blocks")
-        if milestone is not None:
+            past = head - P
+        if past >= 0 and past % n == 0:
             phase += 1
-            yield row, Descriptor(phase=phase, milestone=milestone,
+            yield row, Descriptor(phase=phase, milestone=past // n + 1,
                                   state=rule.next_state, delta=move)
 
 
@@ -291,16 +271,6 @@ def phase_records(trace: Trace, partition: Partition) -> list[PhaseRecord]:
                                    choices=tuple(choices), steps=end - start))
         entered, start = left, end
     return records
-
-
-def partition_for_trace(trace: Trace, P: int, n: int) -> Partition:
-    """Partition with enough blocks materialized to cover the trace."""
-    max_cell = max((head for _, head, _ in trace.steps), default=1)
-    max_cell = max(max_cell, 1 + len(trace.input))
-    probe = Partition(P=P, n=n, r=1)
-    # one spare block so the crossing *into* the outermost visited cell's
-    # neighbor block never trips RegionExceeded
-    return Partition(P=P, n=n, r=probe.block_of_cell(max_cell) + 1)
 
 
 def extract_history(trace: Trace, partition: Partition) -> History:

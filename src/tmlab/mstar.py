@@ -97,40 +97,30 @@ class MStarResult:
 
 
 def story_from_history(history: History) -> History:
-    """Trim an extracted accepting history down to a verifiable story.
+    """An extracted accepting history, as the story it is.
 
-    Drops the spare blocks a replay partition materializes, keeping the
-    blocks actually visited.  Raises :class:`InvalidStoryError` when the
-    history does not end in the accepting exit.
+    The walk is the story, and its blocks are the ones it visits, so the
+    history is returned unchanged.  Raises :class:`InvalidStoryError` when
+    the history does not end in the accepting exit.
     """
     h0 = history.milestone(0)
     if len(h0) != 2 or h0[0] != OPENER or h0[1].state != 1 or h0[1].delta != LEFT:
         raise InvalidStoryError(["history does not close with the accepting exit"])
-    return _story(history.partition.n, history.partition.P, history.walk[1:])
-
-
-def _story(n: int, P: int, descriptors) -> History:
-    """The story of phases ``2..k``'s descriptors, in phase order, the last
-    being the accepting exit: the opener goes first, and the blocks run up
-    to the one past the rightmost milestone crossed."""
-    r = max(d.milestone for d in descriptors) + 1
-    return History(partition=Partition(P=P, n=n, r=r), walk=(OPENER, *descriptors))
+    return history
 
 
 def _story_problems(m: Machine, story: History) -> list[str]:
     """What keeps ``story`` from being an accepting story of ``m``: the
-    visited-block count ``r``, the accepting ``S_0``, the states, and the
-    walk itself through :meth:`History.violations`.
+    accepting ``S_0``, the states, and the walk itself through
+    :meth:`History.violations`.  The block count ``r`` is read off the
+    walk, so it needs no check of its own.
 
     Stories with more than ``n + n % 2`` phases are still verifiable
     (crossing histories of slow runs have more phases), so no upper bound
     is put on ``k``.
     """
-    r, k = story.partition.r, story.k
-    closer = Descriptor(phase=k, milestone=0, state=1, delta=LEFT)
+    closer = Descriptor(phase=story.k, milestone=0, state=1, delta=LEFT)
     out = []
-    if r > max(1, k - 1):
-        out.append(f"visited-block count r={r} must lie in 1..{max(1, k - 1)}")
     if story.milestone(0) != (OPENER, closer):
         out.append(f"accepting story must have S_0 = ({OPENER.astuple()}, {closer.astuple()})")
     out.extend(f"descriptor {d.astuple()} names state outside the machine"
@@ -141,11 +131,11 @@ def _story_problems(m: Machine, story: History) -> list[str]:
 def _accounting(m: Machine, story: History, phase_steps: int) -> dict:
     c = descriptor_constant(m)
     story_size = c * len(story.walk)
-    part = story.partition
-    window = max(part.block_length(j) for j in range(1, part.r + 1)) + 2
-    overhead = part.r + story.k
+    part, r = story.partition, story.r
+    window = max(part.block_length(j) for j in range(1, r + 1)) + 2
+    overhead = r + story.k
     # guessing writes the header's digits, then the story
-    cost = sum(len(str(x)) for x in (part.n * part.n, part.P, part.r, story.k)) + story_size
+    cost = sum(len(str(x)) for x in (part.n * part.n, part.P, r, story.k)) + story_size
     return dict(
         sim_time=cost + overhead + phase_steps,
         sim_space=max(window, story_size),
@@ -162,10 +152,11 @@ def verify_story(m: Machine, w: str, story: History, budget: Optional[int] = Non
     """Check one story by verifying each of its blocks independently.
 
     Raises :class:`InvalidStoryError` unless the story is an accepting
-    walk of ``m`` (:meth:`History.violations` among its checks), so every
-    block checked is one of the walk's blocks ``1..r``, and each of its
-    :meth:`History.visits` enters and leaves it.  All blocks share one
-    cumulative budget of simulated machine steps (default ``n**2``).
+    walk of ``m`` (:meth:`History.violations` among its checks).  The
+    blocks checked are the walk's blocks ``1..r``, ``r`` read off the walk
+    (:attr:`History.r`), and each of a block's :meth:`History.visits`
+    enters and leaves it.  All blocks share one cumulative budget of
+    simulated machine steps (default ``n**2``).
     Accepts iff every block's visit chain can be realized within it; the
     result carries the time/space accounting of the accepting branch.
 
@@ -190,7 +181,7 @@ def verify_story(m: Machine, w: str, story: History, budget: Optional[int] = Non
 
     total_steps = 0
     choices_by_phase: dict[int, tuple[int, ...]] = {}
-    for j in range(1, partition.r + 1):
+    for j in range(1, story.r + 1):
         visits = story.visits(j)
         x0 = initial_block_content(j, partition, w)
         results = check_block(m, j, visits, x0, budget - total_steps, work=work)
@@ -242,6 +233,7 @@ class _StorySearch:
         whether a last-level prefix had an exit the phase bound cut off.
         """
         self.cut = False
+        partition = Partition(P=P, n=self.n)
         level = [(1, OPENER, {}, [])]   # block, in-crossing, frontier per visited block, prefix
         for phase in range(1, kmax):
             children = []
@@ -250,7 +242,7 @@ class _StorySearch:
                 others = sum(min(steps for steps, _, _ in f.values())
                              for j, f in frontiers.items() if j != block)
                 frontier = frontiers.get(block) or start_frontier(
-                    initial_block_content(block, Partition(P=P, n=self.n, r=block), self.w))
+                    initial_block_content(block, partition, self.w))
                 exits = advance_frontier(self.m, d_in, block, frontier,
                                          self.budget - others, self.work).exits
                 closing = exits.get((LEFT, 1)) if block == 1 else None
@@ -308,7 +300,8 @@ def simulate_mstar(m: Machine, w: str, n: int, node_cap: int = DEFAULT_NODE_CAP)
                            wall_stats=search.prefixes, budget=budget,
                            complete_walk_P=None if search.cut else P)
     descriptors, steps = found
-    result = verify_story(m, w, _story(n, P, descriptors), budget, node_cap=node_cap)
+    story = History(Partition(P, n), (OPENER, *descriptors))
+    result = verify_story(m, w, story, budget, node_cap=node_cap)
     assert result.accepted, "search found a story the verifier rejects"
     assert result.phase_steps == steps, \
         "search and verifier disagree on the cheapest realization"

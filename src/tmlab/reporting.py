@@ -76,8 +76,8 @@ class StoryFormatError(ValueError):
 
 
 def story_to_dict(story: History) -> dict:
-    part = story.partition
-    milestones: list[list] = [[] for _ in range(part.r + 2)]
+    part, r = story.partition, story.r
+    milestones: list[list] = [[] for _ in range(r + 2)]
     for d in story.walk:  # one pass: S_j keeps the walk's phase order
         milestones[d.milestone].append(list(d.astuple()))
     return {
@@ -85,7 +85,7 @@ def story_to_dict(story: History) -> dict:
         "kind": "story",
         "n": part.n,
         "P": part.P,
-        "r": part.r,
+        "r": r,
         "k": story.k,
         "milestones": milestones,
     }
@@ -100,9 +100,10 @@ def _integer(value: Any) -> int:
 def story_from_dict(data: Any) -> History:
     """Read a story file's lists ``S_0 .. S_{r+1}`` back into one walk.
 
-    Each list must name its own milestone and be in phase order, and ``k``
-    must be the walk's last phase; whether the walk is a story is left to
-    :func:`tmlab.mstar.verify_story`.
+    Each list must name its own milestone and be in phase order, ``k``
+    must be the walk's last phase and ``r`` the number of blocks it
+    visits (:attr:`~tmlab.crossing.History.r`); whether the walk is a
+    story is left to :func:`tmlab.mstar.verify_story`.
     """
     if not isinstance(data, dict) or data.get("kind") != "story":
         raise StoryFormatError("expected an object with kind 'story'")
@@ -112,7 +113,7 @@ def story_from_dict(data: Any) -> History:
         n, P, r, k = (_integer(data[f]) for f in ("n", "P", "r", "k"))
         lists = [tuple(Descriptor(*map(_integer, (p, j, i, d))) for p, j, i, d in entries)
                  for entries in data["milestones"]]
-        partition = Partition(P=P, n=n, r=r)
+        partition = Partition(P=P, n=n)
     except (KeyError, TypeError, ValueError) as err:
         raise StoryFormatError(f"malformed story file: {err}") from None
     if len(lists) != r + 2:
@@ -127,6 +128,8 @@ def story_from_dict(data: Any) -> History:
     story = History(partition=partition, walk=merge_by_phase(*lists))
     if story.k != k:
         raise StoryFormatError(f"k={k} is not the last phase {story.k} of the story's walk")
+    if story.r != r:
+        raise StoryFormatError(f"r={r} is not the {story.r} blocks the story's walk visits")
     return story
 
 

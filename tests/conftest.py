@@ -1,17 +1,16 @@
 import itertools
-import re
 
 import pytest
 
 from tmlab import (
     OPENER,
-    Partition,
-    RegionExceeded,
     corpus_machines,
     extract_history,
     general_corpus_machines,
     phase_records,
 )
+
+from oracles import crossing_walk
 
 TWO_SYMBOL = "ab"
 
@@ -27,21 +26,19 @@ def scale_for(w: str) -> int:
     return max(len(w), 2)
 
 
-def assert_one_walk(trace, part):
-    """``extract_history`` walks the crossings ``phase_records`` ends its phases
-    with; on a partition that stops short of the head's farthest block, both
-    raise the same error.  Says whether the trace reached a second block."""
-    records = phase_records(trace, part)
-    assert extract_history(trace, part).walk == (OPENER,) + tuple(r.left for r in records if r.left)
-    farthest = part.block_of_cell(max([trace.final.head] + [head for _, head, _ in trace.steps]))
-    if farthest < 2:
-        return False
-    short = Partition(P=part.P, n=part.n, r=farthest - 1)
-    with pytest.raises(RegionExceeded) as walked:
-        extract_history(trace, short)
-    with pytest.raises(RegionExceeded, match=re.escape(str(walked.value))):
-        phase_records(trace, short)
-    return True
+def assert_one_walk(m, trace, part):
+    """``extract_history`` walks, and ``phase_records`` ends its phases with,
+    the crossings the oracle's replay of ``trace`` finds; the history's
+    ``r`` is the block of the farthest cell the head reached.  Says
+    whether the trace reached a second block."""
+    walk = crossing_walk(m, trace, part)
+    hist = extract_history(trace, part)
+    assert hist.walk == walk
+    assert (OPENER,) + tuple(r.left for r in phase_records(trace, part) if r.left) == walk
+    farthest = max([trace.final.head] + [head for _, head, _ in trace.steps])
+    lo, hi = part.block_range(hist.r)
+    assert lo <= farthest <= hi
+    return hist.r >= 2
 
 
 @pytest.fixture(scope="session")

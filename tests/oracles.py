@@ -6,8 +6,11 @@ the machine on absolute tape cells with :func:`step`, this module's own
 one-configuration-at-a-time copy of the step semantics, enumerating
 every nondeterministic choice sequence; :func:`block_search` instead
 builds every level of configurations up to its cap, picking each one's
-least choices with ``min``.  Phase counts come from replaying
-a trace against each partition, never from the one-pass table of
+least choices with ``min``.  Crossings and phase counts come from
+:func:`crossing_walk`, which re-runs a trace's choices through
+:func:`step` and finds each milestone by scanning the blocks' cell
+ranges, never from :func:`tmlab.extract_history`,
+:func:`tmlab.phase_records` or the one-pass table of
 :func:`tmlab.check_phase_lemma` they check.  A single computation is
 replayed one :func:`step` call at a time, never through the in-place
 loop of :func:`tmlab.run_with_choices`.  A general machine is decided
@@ -43,8 +46,6 @@ from tmlab import (
     Trace,
     machine_to_text,
     parse_machine,
-    partition_for_trace,
-    phase_records,
     verify_story,
 )
 
@@ -398,28 +399,59 @@ def first_verified_story(m: Machine, w: str, n: int, kmax: int) -> Optional[MSta
     for P in range(1, n + 1):
         for k in range(2, kmax + 1):
             for descriptors in _story_shapes(m, k):
-                r = 1 + max((d.milestone for d in descriptors if d.delta == RIGHT), default=0)
-                story = History(partition=Partition(P=P, n=n, r=r), walk=(OPENER, *descriptors))
+                story = History(partition=Partition(P=P, n=n), walk=(OPENER, *descriptors))
                 result = verify_story(m, w, story)
                 if result.accepted:
                     return result
     return None
 
 
-def replay_phase_count(trace: Trace, n: int, P: int) -> int:
-    """Phases of the trace under the partition ``(P, n)``, by replay.
+def milestone_after(partition: Partition, cell: int) -> Optional[int]:
+    """The milestone on the boundary after ``cell``, if any, found by
+    scanning the blocks' cell ranges from block 1."""
+    j = 1
+    while partition.block_range(j)[1] < cell:
+        j += 1
+    return j if partition.block_range(j)[1] == cell else None
 
-    Replays the whole trace against the partition and reads the last
-    phase number; a final left-edge exit starts one more phase.
+
+def crossing_walk(m: Machine, trace: Trace, partition: Partition) -> tuple[Descriptor, ...]:
+    """The trace's crossings under ``partition``, opened by ``OPENER``, by replay.
+
+    Re-runs ``trace.choices`` through :func:`step` for as many rules as the
+    trace applied.  Each change of head cell crosses the boundary after
+    the lower cell, a milestone or none; the state recorded is the one the
+    move leads to.  A left-edge attempt closes milestone 0 in the state it
+    was made in and ends the walk.
     """
-    records = phase_records(trace, partition_for_trace(trace, P=P, n=n))
-    last = records[-1]
-    return last.phase + (1 if last.left is not None and last.left.milestone == 0 else 0)
+    config = initial_configuration(m, trace.input)
+    picks = iter(trace.choices)
+    walk = [OPENER]
+    for _ in trace.steps:
+        nxt = step(m, config, next(picks) if is_branch_state(m, config.state) else None)
+        if nxt in (HaltReason.ACCEPTING_EXIT, HaltReason.LEFT_EDGE):
+            walk.append(Descriptor(phase=len(walk) + 1, milestone=0, state=config.state, delta=LEFT))
+            break
+        if isinstance(nxt, HaltReason):
+            break
+        if nxt.head != config.head:
+            milestone = milestone_after(partition, min(config.head, nxt.head))
+            if milestone is not None:
+                walk.append(Descriptor(phase=len(walk) + 1, milestone=milestone,
+                                       state=nxt.state, delta=nxt.head - config.head))
+        config = nxt
+    return tuple(walk)
 
 
-def replay_phase_table(trace: Trace, n: int) -> dict[int, int]:
+def replay_phase_count(m: Machine, trace: Trace, n: int, P: int) -> int:
+    """Phases of the trace under the partition ``(P, n)``, by replay: one
+    per descriptor of its :func:`crossing_walk`."""
+    return len(crossing_walk(m, trace, Partition(P=P, n=n)))
+
+
+def replay_phase_table(m: Machine, trace: Trace, n: int) -> dict[int, int]:
     """``k(P)`` for every ``P <= n``, one full replay per partition."""
-    return {P: replay_phase_count(trace, n, P) for P in range(1, n + 1)}
+    return {P: replay_phase_count(m, trace, n, P) for P in range(1, n + 1)}
 
 
 def crossings_off_heads(trace: Trace, n: int) -> int:

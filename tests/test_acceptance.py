@@ -19,6 +19,7 @@ from tmlab import (
     Descriptor,
     GENERAL_CORPUS_MACHINES,
     NodeBudget,
+    Partition,
     check_block,
     check_phase_lemma,
     descriptor_constant,
@@ -26,7 +27,6 @@ from tmlab import (
     initial_block_content,
     merge_by_phase,
     normalize,
-    partition_for_trace,
     phase_records,
     run_direct,
     run_with_choices,
@@ -93,7 +93,7 @@ def test_criterion_2_phase_faithfulness(corpus, corpus_runs):
     for name, w, n, witness in witnesses(corpus_runs):
         m = corpus[name]
         for P in range(1, n + 1):
-            part = partition_for_trace(witness, P, n)
+            part = Partition(P, n)
             for rec in phase_records(witness, part):
                 if rec.left is None:
                     continue
@@ -117,9 +117,9 @@ def _true_block_visits(corpus, corpus_runs):
     out = []
     for name, w, n, witness in witnesses(corpus_runs):
         for P in range(1, n + 1):
-            part = partition_for_trace(witness, P, n)
+            part = Partition(P, n)
             hist = extract_history(witness, part)
-            for j in range(1, part.r + 1):
+            for j in range(1, hist.r + 1):
                 visits = hist.visits(j)
                 if visits:
                     out.append((corpus[name], part, j, visits, initial_block_content(j, part, w),
@@ -244,11 +244,11 @@ def test_criterion_8_history_invariants():
                                  max_time=rng.randint(4, 16))
         P = rng.randint(1, 4)
         n = rng.randint(P, 5)
-        hist = extract_history(trace, partition_for_trace(trace, P, n))
+        hist = extract_history(trace, Partition(P, n))
         if hist.violations():
             failures += 1
             continue
-        for j in range(hist.partition.r + 2):
+        for j in range(hist.r + 2):
             plus, minus = split_history(hist.milestone(j))
             if merge_by_phase(plus, minus) != hist.milestone(j):
                 failures += 1

@@ -3,7 +3,7 @@
 The digest is how two checkouts are shown to answer a workload's
 questions byte for byte alike, so it must not depend on anything but the
 answers: not on the temporary directory the machine files go to, nor on
-the run.  Two workloads' seed-1 digests are pinned, so a change that
+the run.  Every workload's seed-1 digest is pinned, so a change that
 alters an answer fails here; such a change updates the pin and says why.
 """
 
@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = {
     "direct_deep": "53dd04a5764d73d4be7ffb4ae1089276447e48be3bc55c7565883fecb00e7066",
     "story_branchy": "e2fafce04ab10d48beae7b42434ce6485a5bf3b26d0f7036e8eb188b81692c9b",
+    "reject_stream": "3a8cca558cadf6414096d7b68fedb8ed2eabb5d4f39efdb478fa10f20eb896b1",
 }
 
 

@@ -17,7 +17,6 @@ from tmlab import (
     check_block,
     extract_history,
     initial_block_content,
-    partition_for_trace,
     phase_records,
     parse_machine,
     run_direct,
@@ -27,14 +26,14 @@ from oracles import block_story_feasible, random_machine, scribble
 
 
 def test_initial_block_contents_split_the_input():
-    part = Partition(P=2, n=3, r=5)
+    part = Partition(P=2, n=3)
     assert initial_block_content(1, part, "abba") == "ab"
     assert initial_block_content(2, part, "abba") == "ba0"
     assert initial_block_content(5, part, "abba") == "000"
 
 
 def test_initial_block_content_pads_short_input():
-    part = Partition(P=3, n=4, r=3)
+    part = Partition(P=3, n=4)
     assert initial_block_content(1, part, "ab") == "ab0"
     assert initial_block_content(2, part, "ab") == "0000"
 
@@ -48,7 +47,7 @@ def test_empty_story_accepts_vacuously(corpus):
 def test_recorded_block_story_is_coherent(corpus):
     m = corpus["sweep_right"]
     r = run_direct(m, "abab", 16)
-    part = partition_for_trace(r.witness, P=2, n=4)
+    part = Partition(P=2, n=4)
     hist = extract_history(r.witness, part)
     records = phase_records(r.witness, part)
     for j in (1, 2):
@@ -70,7 +69,7 @@ def test_recorded_block_story_is_coherent(corpus):
 def test_unreachable_out_state_rejected(corpus):
     m = corpus["sweep_right"]
     r = run_direct(m, "abab", 16)
-    part = partition_for_trace(r.witness, P=2, n=4)
+    part = Partition(P=2, n=4)
     hist = extract_history(r.witness, part)
     visits = hist.visits(2)
     assert visits
@@ -151,7 +150,7 @@ def test_frontier_keeps_every_content_a_visit_can_leave():
     # twice: the first visit writes any of 32 words, the second reads it back
     m = scribble(6)
     r = run_direct(m, "", 25)
-    part = partition_for_trace(r.witness, P=1, n=5)
+    part = Partition(P=1, n=5)
     visits = extract_history(r.witness, part).visits(2)
     assert [(a.astuple(), b.astuple()) for a, b in visits] == [
         ((2, 1, 5, RIGHT), (3, 2, 1, RIGHT)), ((4, 2, 1, LEFT), (5, 1, 1, LEFT))]
@@ -187,7 +186,7 @@ def _nondeterministic_multi_visit_story(rng):
             continue
         stories = []
         for P in range(1, n + 1):
-            part = partition_for_trace(r.witness, P, n)
+            part = Partition(P, n)
             hist = extract_history(r.witness, part)
             records = phase_records(r.witness, part)
             branching = {rec.block for rec in records if rec.choices}

@@ -19,15 +19,13 @@ from hypothesis import strategies as st
 from tmlab import (
     CORPUS_MACHINES,
     GENERAL_CORPUS_MACHINES,
-    InvalidStoryError,
+    Partition,
     corpus_text,
     extract_history,
     machine_to_text,
     parse_machine,
-    partition_for_trace,
     run_direct,
     story_from_history,
-    verify_story,
 )
 from tmlab import cli
 from tmlab.cli import build_parser, main
@@ -408,18 +406,23 @@ def test_mstar_story_descriptor_under_another_milestone_exits_65(machine_file, t
     (lambda story: story["milestones"][0].reverse(), "S_0 is not in phase order"),
     (lambda story: story["milestones"][1].reverse(), "S_1 is not in phase order"),
     (lambda story: story.update(k=5), "k=5 is not the last phase 4"),
-], ids=["S_0-reversed", "S_1-reversed", "k-not-the-last-phase"])
+    (lambda story: (story.update(r=3), story["milestones"].append([])),
+     "r=3 is not the 2 blocks"),
+    (lambda story: (story.update(r=1), story["milestones"].pop()), "r=1 is not the 2 blocks"),
+], ids=["S_0-reversed", "S_1-reversed", "k-not-the-last-phase", "r-one-block-more",
+        "r-one-block-less"])
 def test_mstar_story_the_reader_refuses_exits_65(tmp_path, capsys, mutate, message):
     """A milestone's list is read in phase order, never re-sorted, so a
-    reversed ``S_1`` is as invalid as a reversed ``S_0``; and ``k`` must be
-    the walk's last phase."""
+    reversed ``S_1`` is as invalid as a reversed ``S_0``; ``k`` must be the
+    walk's last phase, and ``r`` the blocks it visits, even when the lists
+    still number ``r + 2``."""
     guesser = tmp_path / "guesser.tm"
     guesser.write_text(corpus_text("guesser"), encoding="utf-8")
     question = [str(guesser), "--input", "bbbb", "-n", "4"]
     _, out, _ = run_cli(capsys, "crossings", *question, "--json")
     story = report_from_json(out).story
-    assert story["k"] == 4 and story["milestones"][:2] == [
-        [[1, 0, 0, 1], [4, 0, 1, -1]], [[2, 1, 4, 1], [3, 1, 1, -1]]]
+    assert story["k"] == 4 and story["r"] == 2 and story["milestones"] == [
+        [[1, 0, 0, 1], [4, 0, 1, -1]], [[2, 1, 4, 1], [3, 1, 1, -1]], [], []]
     mutate(story)
     story_path = tmp_path / "story.json"
     story_path.write_text(json.dumps(story), encoding="utf-8")
@@ -441,19 +444,19 @@ det 1 0 move L 1
 ], ids=["one_step_right", "sweep_right"])
 def test_mstar_story_entering_a_block_past_r_exits_65(tmp_path, capsys, text, w, n, P, state,
                                                      run_code):
-    """A story with ``r = 1`` whose second phase crosses into block 2 never
-    has that block checked, so it must be refused as data.  On the first
-    machine it would accept an input that ``run`` rejects."""
+    """A story with ``r = 1`` whose second phase crosses into block 2 visits
+    two blocks, so the reader refuses it as data.  Were block 2 left
+    unchecked, the first machine would accept an input that ``run`` rejects."""
     story = {"schema": 1, "kind": "story", "n": n, "P": P, "r": 1, "k": 4,
              "milestones": [[[1, 0, 0, 1], [4, 0, 1, -1]], [[2, 1, state, 1], [3, 1, 1, -1]], []]}
-    with pytest.raises(InvalidStoryError, match="enters block 2, beyond r = 1"):
-        verify_story(parse_machine(text), w, story_from_dict(story))
+    with pytest.raises(StoryFormatError, match="r=1 is not the 2 blocks"):
+        story_from_dict(story)
     machine_path, story_path = tmp_path / "m.tm", tmp_path / "story.json"
     machine_path.write_text(text, encoding="utf-8")
     story_path.write_text(json.dumps(story), encoding="utf-8")
     code, out, err = run_cli(capsys, "mstar", str(machine_path), "--input", w, "-n", str(n),
                              "--story", str(story_path), "--json")
-    assert code == 65 and out == "" and "phase 2" in err
+    assert code == 65 and out == "" and "r=1" in err
     code, _, _ = run_cli(capsys, "run", str(machine_path), "--input", w, "--max-steps", str(n * n))
     assert code == run_code
 
@@ -1001,8 +1004,9 @@ def mutate_story(rng: random.Random, story: dict, state_count: int) -> dict:
     direction, phase or state; the list a descriptor sits in; a dropped or
     duplicated descriptor; one of ``n``, ``P``, ``r`` and ``k`` by one; or
     ``r`` by one together with the trailing milestone list, so the lists
-    still match ``r`` and a crossing may enter a block past it; or, as the
-    last change, a number swapped for a float, string or bool."""
+    still match ``r`` but ``r`` is one more or one less than the blocks the
+    walk visits; or, as the last change, a number swapped for a float,
+    string or bool."""
     story = json.loads(json.dumps(story))
     lists = story["milestones"]
     for _ in range(rng.randint(1, 2)):
@@ -1066,7 +1070,7 @@ def corpus_stories(fuzz_dir, corpus):
             if not direct.accepted:
                 continue
             for P in range(1, n + 1):
-                hist = extract_history(direct.witness, partition_for_trace(direct.witness, P, n))
+                hist = extract_history(direct.witness, Partition(P, n))
                 story = story_to_dict(story_from_history(hist))
                 if any(story["milestones"][1:]):
                     out.append((m, str(path), w, n, story))

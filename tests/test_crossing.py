@@ -14,7 +14,6 @@ import pytest
 from tmlab import (
     CORPUS_MACHINES,
     Partition,
-    RegionExceeded,
     RejectReason,
     check_block,
     check_phase_lemma,
@@ -22,7 +21,6 @@ from tmlab import (
     load_corpus_machine,
     merge_by_phase,
     parse_machine,
-    partition_for_trace,
     phase_records,
     run_direct,
     run_with_choices,
@@ -35,16 +33,20 @@ from oracles import (crossings_off_heads, random_machine, replay_phase_count, re
 
 
 @pytest.fixture(scope="module")
-def zigzag_witness():
-    m = load_corpus_machine("zigzag")
-    r = run_direct(m, "", 20)
+def zigzag():
+    return load_corpus_machine("zigzag")
+
+
+@pytest.fixture(scope="module")
+def zigzag_witness(zigzag):
+    r = run_direct(zigzag, "", 20)
     assert r.accepted and r.usage.time == 15
     return r.witness
 
 
 @pytest.fixture(scope="module")
 def zigzag_history(zigzag_witness):
-    return extract_history(zigzag_witness, Partition(P=2, n=2, r=5))
+    return extract_history(zigzag_witness, Partition(P=2, n=2))
 
 
 # ---------------------------------------------------------------------------
@@ -52,25 +54,17 @@ def zigzag_history(zigzag_witness):
 
 
 def test_partition_block_ranges():
-    part = Partition(P=2, n=3, r=4)
+    part = Partition(P=2, n=3)
     assert part.block_range(1) == (1, 2)
     assert part.block_range(2) == (3, 5)
     assert part.block_range(3) == (6, 8)
-    milestones = part.milestone_cells()
-    assert milestones.get(2) == 1
-    assert milestones.get(5) == 2
-    assert milestones.get(3) is None
-    assert milestones.get(1) is None
-    assert part.block_of_cell(1) == 1
-    assert part.block_of_cell(3) == 2
-    assert part.block_of_cell(6) == 3
 
 
 def test_partition_validerrors():
     with pytest.raises(ValueError):
-        Partition(P=4, n=3, r=2)
+        Partition(P=4, n=3)
     with pytest.raises(ValueError):
-        Partition(P=0, n=3, r=2)
+        Partition(P=0, n=3)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +73,8 @@ def test_partition_validerrors():
 
 def test_zigzag_histories_match_closed_form(zigzag_history):
     hist = zigzag_history
-    entries = {j: [d.astuple() for d in hist.milestone(j)] for j in range(hist.partition.r + 2)}
+    assert hist.r == 4
+    entries = {j: [d.astuple() for d in hist.milestone(j)] for j in range(hist.r + 2)}
     assert entries[0] == [(1, 0, 0, +1), (10, 0, 1, -1)]
     assert entries[1] == [(2, 1, 3, +1), (9, 1, 14, -1)]
     assert entries[2] == [(3, 2, 5, +1), (8, 2, 12, -1)]
@@ -106,7 +101,7 @@ def test_split_empty_history(zigzag_history):
 
 
 def test_split_then_merge_reconstructs(zigzag_history):
-    for j in range(zigzag_history.partition.r + 2):
+    for j in range(zigzag_history.r + 2):
         plus, minus = split_history(zigzag_history.milestone(j))
         assert merge_by_phase(plus, minus) == zigzag_history.milestone(j)
 
@@ -137,21 +132,22 @@ def _accepted_histories():
         r = run_direct(m, w, n * n)
         if r.accepted:
             for P in range(1, n + 1):
-                yield extract_history(r.witness, partition_for_trace(r.witness, P, n))
+                yield extract_history(r.witness, Partition(P, n))
 
 
 def test_visits_pair_each_blocks_crossings_in_order():
     """Block ``j``'s visits are milestones ``j-1`` and ``j``'s crossings,
-    paired in phase order, in every extracted history and in the story
-    trimmed from it."""
+    paired in phase order, in every extracted history, which is its own
+    story, and no block past ``r`` is visited."""
     blocks = 0
     for hist in _accepted_histories():
-        for h in (hist, story_from_history(hist)):
-            for j in range(1, h.partition.r + 2):
-                crossings = [d for d in h.walk if d.milestone in (j - 1, j)]
-                assert h.visits(j) == list(zip(crossings[::2], crossings[1::2])), (h, j)
-                blocks += 1
-    assert blocks > 1000
+        assert story_from_history(hist) is hist
+        for j in range(1, hist.r + 2):
+            crossings = [d for d in hist.walk if d.milestone in (j - 1, j)]
+            assert hist.visits(j) == list(zip(crossings[::2], crossings[1::2])), (hist, j)
+            assert bool(crossings) == (j <= hist.r), (hist, j)
+            blocks += 1
+    assert blocks > 600
 
 
 def test_block_story_rejects_broken_alternation(zigzag_history):
@@ -176,7 +172,7 @@ def test_block_story_rejects_an_exit_through_the_entry_side(corpus):
     from tmlab import Descriptor, History
     d = [Descriptor(1, 0, 0, +1), Descriptor(2, 1, 0, +1), Descriptor(3, 1, 1, +1),
          Descriptor(4, 0, 1, -1)]
-    story = History(partition=Partition(P=1, n=2, r=2), walk=tuple(d))
+    story = History(partition=Partition(P=1, n=2), walk=tuple(d))
     assert story.violations() == ["phase 3: (3, 1, 1, 1) does not leave block 2"]
     visit = story.visits(2)[0]
     assert visit == (d[1], d[2])
@@ -192,14 +188,10 @@ def test_block_story_rejects_an_exit_through_the_entry_side(corpus):
 def test_history_confined_to_first_block(corpus):
     m = corpus["always_accept"]
     r = run_direct(m, "", 4)
-    hist = extract_history(r.witness, Partition(P=3, n=3, r=2))
+    hist = extract_history(r.witness, Partition(P=3, n=3))
     assert [d.astuple() for d in hist.milestone(0)] == [(1, 0, 0, +1), (2, 0, 1, -1)]
     assert all(not hist.milestone(j) for j in range(1, 4))
-
-
-def test_region_exceeded_when_partition_too_small(zigzag_witness):
-    with pytest.raises(RegionExceeded):
-        extract_history(zigzag_witness, Partition(P=2, n=2, r=2))
+    assert hist.r == 1
 
 
 def test_history_walk_equals_the_phase_records_crossings(corpus):
@@ -212,21 +204,15 @@ def test_history_walk_equals_the_phase_records_crossings(corpus):
                 continue
             for P in range(1, n + 1):
                 walks += 1
-                short += assert_one_walk(r.witness, partition_for_trace(r.witness, P, n))
+                short += assert_one_walk(corpus[name], r.witness, Partition(P, n))
     assert walks > 100 and short > 0
-
-
-def test_partition_for_trace_covers(zigzag_witness):
-    part = partition_for_trace(zigzag_witness, P=2, n=2)
-    assert part.P + (part.r - 1) * part.n >= 7  # the cells its blocks cover
-    extract_history(zigzag_witness, part)  # should not raise
 
 
 def test_extracted_histories_validate_for_rejecting_runs(corpus):
     m = corpus["palindrome"]
     tr = run_with_choices(m, "ab", (), 60)  # halts rejecting
     for P in (1, 2):
-        hist = extract_history(tr, partition_for_trace(tr, P, 2))
+        hist = extract_history(tr, Partition(P, 2))
         assert hist.violations() == []
 
 
@@ -237,14 +223,14 @@ def test_extracted_histories_validate_for_rejecting_runs(corpus):
 # must agree with it wherever the trace fits the n^2 bound.
 
 
-def test_phase_count_zigzag_is_ten(zigzag_witness):
-    assert replay_phase_count(zigzag_witness, n=2, P=2) == 10
+def test_phase_count_zigzag_is_ten(zigzag, zigzag_witness):
+    assert replay_phase_count(zigzag, zigzag_witness, n=2, P=2) == 10
 
 
 def test_phase_count_confined_accepting_run(corpus):
     r = run_direct(corpus["always_accept"], "", 4)
     for P in (1, 2, 3):
-        assert replay_phase_count(r.witness, n=3, P=P) == 2
+        assert replay_phase_count(corpus["always_accept"], r.witness, n=3, P=P) == 2
     assert check_phase_lemma(r.witness, 3).per_P == {1: 2, 2: 2, 3: 2}
 
 
@@ -252,15 +238,15 @@ def test_phase_count_no_crossing_rejecting_run():
     m = parse_machine("states 2\nalphabet 0\ndet 0 0 write 0 0\n")  # spins in place
     tr = run_with_choices(m, "", (), 5)
     for P in (1, 2, 3):
-        assert replay_phase_count(tr, n=3, P=P) == 1
+        assert replay_phase_count(m, tr, n=3, P=P) == 1
     assert check_phase_lemma(tr, 3).per_P == {1: 1, 2: 1, 3: 1}
 
 
-def test_zigzag_sum_counts_moves_once_per_partition(zigzag_witness):
+def test_zigzag_sum_counts_moves_once_per_partition(zigzag, zigzag_witness):
     # every completed move crosses the milestone of exactly one partition,
     # and the accepting exit counts once per partition
     n = 3
-    total_k = sum(replay_phase_count(zigzag_witness, n=n, P=P) for P in range(1, n + 1))
+    total_k = sum(replay_phase_count(zigzag, zigzag_witness, n=n, P=P) for P in range(1, n + 1))
     completed_moves = 14
     assert total_k == (completed_moves + n) + n
 
@@ -280,7 +266,7 @@ def test_phase_count_table_against_head_positions(corpus):
             if a != b and boundary >= P and (boundary - P) % n == 0:
                 crossings += 1
         expected = 1 + crossings + 1  # opener + crossings + accepting exit
-        assert replay_phase_count(witness, n=n, P=P) == expected
+        assert replay_phase_count(m, witness, n=n, P=P) == expected
 
 
 def test_check_phase_lemma_table(corpus):
@@ -315,7 +301,7 @@ def test_one_pass_table_matches_replay_at_every_trace_end(end, n):
     assert (tr.halt.value if tr.halt is not None else "time-bound") == end
     rep = check_phase_lemma(tr, n)
     assert rep.total_crossings > 0
-    assert rep.per_P == replay_phase_table(tr, n)
+    assert rep.per_P == replay_phase_table(m, tr, n)
     assert rep.total_crossings == crossings_off_heads(tr, n)
     assert rep.sum_identity_ok
 
@@ -328,7 +314,7 @@ def test_check_phase_lemma_requires_time_bound(zigzag_witness):
 def test_phase_records_thread_contents(corpus):
     m = corpus["sweep_right"]
     r = run_direct(m, "ab", 7)
-    part = partition_for_trace(r.witness, P=1, n=2)
+    part = Partition(P=1, n=2)
     records = phase_records(r.witness, part)
     assert [rec.block for rec in records] == [1, 2, 1]
     assert records[0].content_before == "a"

@@ -11,11 +11,11 @@ from tmlab import (
     DetRule,
     HaltReason,
     LEFT,
+    Partition,
     RIGHT,
     check_phase_lemma,
     extract_history,
     merge_by_phase,
-    partition_for_trace,
     run_direct,
     run_with_choices,
 )
@@ -39,9 +39,9 @@ def test_random_run_histories_satisfy_invariants(seed):
     rng, m, w, trace = random_run(seed)
     P = rng.randint(1, 4)
     n = rng.randint(P, 5)
-    hist = extract_history(trace, partition_for_trace(trace, P, n))
+    hist = extract_history(trace, Partition(P, n))
     assert hist.violations() == []
-    for j in range(hist.partition.r + 2):
+    for j in range(hist.r + 2):
         plus, minus = split_history(hist.milestone(j))
         assert merge_by_phase(plus, minus) == hist.milestone(j)
 
@@ -91,7 +91,7 @@ def test_crossings_summed_over_partitions_at_most_moves(seed):
     n = rng.randint(2, 5)
     moves = sum(1 for _, _, action in trace.steps
                 if isinstance(action, DetRule) and action.move is not None)
-    total = sum(replay_phase_count(trace, n=n, P=P) for P in range(1, n + 1))
+    total = sum(replay_phase_count(m, trace, n=n, P=P) for P in range(1, n + 1))
     # subtract the opener phase and any final exit, counted once per partition
     assert total - n * (1 + _has_edge_exit(trace)) <= moves
 
@@ -101,9 +101,9 @@ def test_crossings_summed_over_partitions_at_most_moves(seed):
 def test_one_pass_lemma_table_matches_replay_oracle(seed, n):
     # traces run to the n^2 bound or stop earlier by accepting, by a
     # rejecting left-edge attempt or with no applicable rule
-    _rng, _m, _w, trace = random_run(seed, max_time=n * n)
+    _rng, m, _w, trace = random_run(seed, max_time=n * n)
     rep = check_phase_lemma(trace, n)
-    table = replay_phase_table(trace, n)
+    table = replay_phase_table(m, trace, n)
     assert rep.per_P == table
     assert rep.sum == sum(table.values())
     assert rep.best_P == min(table, key=lambda P: (table[P], P))
@@ -112,7 +112,8 @@ def test_one_pass_lemma_table_matches_replay_oracle(seed, n):
 
 
 def accepting_run(seed: int, n: int):
-    """The first run a seed draws that accepts within ``n**2`` steps, or None.
+    """The machine and first run a seed draws that accept within ``n**2``
+    steps, or None.
 
     State 1 sweeps left, so a run accepts once it reaches state 1.
     """
@@ -124,7 +125,7 @@ def accepting_run(seed: int, n: int):
         w = "".join(rng.choice("ab") for _ in range(rng.randint(0, n)))
         trace = run_with_choices(m, w, lambda state, succs: rng.randrange(len(succs)), n * n)
         if trace.halt is HaltReason.ACCEPTING_EXIT:
-            return trace
+            return m, trace
     return None
 
 
@@ -137,9 +138,9 @@ def test_accepting_runs_have_even_phase_counts(seed, n):
     # min_P k(P) <= n + 1, so some partition has at most n + n % 2: the
     # story search's phase bound.  (At n = 1 the one-step budget admits
     # no accepting run.)
-    trace = accepting_run(seed, n)
-    assert trace is not None
-    rep = check_phase_lemma(trace, n)
+    found = accepting_run(seed, n)
+    assert found is not None
+    rep = check_phase_lemma(found[1], n)
     assert all(k % 2 == 0 for k in rep.per_P.values()), rep.per_P
     assert min(rep.per_P.values()) <= n + n % 2
     assert rep.holds or n % 2 == 1
@@ -148,10 +149,10 @@ def test_accepting_runs_have_even_phase_counts(seed, n):
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
 @settings(max_examples=300, deadline=None)
 def test_accepting_run_walks_equal_phase_record_crossings(seed, n):
-    trace = accepting_run(seed, n)
-    assert trace is not None
+    found = accepting_run(seed, n)
+    assert found is not None
     for P in range(1, n + 1):
-        assert_one_walk(trace, partition_for_trace(trace, P, n))
+        assert_one_walk(*found, Partition(P, n))
 
 
 def _has_edge_exit(trace):

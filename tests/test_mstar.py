@@ -17,11 +17,11 @@ from tmlab import (
     HaltReason,
     InvalidStoryError,
     LEFT,
+    Partition,
     RIGHT,
     descriptor_constant,
     extract_history,
     parse_machine,
-    partition_for_trace,
     run_direct,
     run_with_choices,
     simulate_mstar,
@@ -35,7 +35,7 @@ from oracles import first_verified_story, random_machine, scribble
 def true_story(m, w, n, P):
     r = run_direct(m, w, n * n)
     assert r.accepted
-    hist = extract_history(r.witness, partition_for_trace(r.witness, P, n))
+    hist = extract_history(r.witness, Partition(P, n))
     return story_from_history(hist), r
 
 
@@ -103,7 +103,7 @@ def test_slow_machine_story_verifies_with_matching_budget(corpus):
     m = corpus["palindrome"]
     direct = run_direct(m, "aba", 60)
     assert direct.accepted and direct.usage.time == 15
-    hist = extract_history(direct.witness, partition_for_trace(direct.witness, 2, 3))
+    hist = extract_history(direct.witness, Partition(2, 3))
     assert hist.violations() == []
     guess = story_from_history(hist)
     assert guess.k == 6
@@ -120,13 +120,13 @@ def test_verify_story_budget_exhaustion_flagged(corpus):
 
 
 def test_zigzag_story_is_trimmed_to_its_visited_blocks_and_verifies(corpus):
-    # the replay partition materializes a spare block past the walk; the
-    # story keeps only the four the head visits, and each is checked
+    # the story's r is read off its walk: the four blocks the head visits,
+    # each of which is checked
     m = corpus["zigzag"]
     direct = run_direct(m, "", 20)
-    hist = extract_history(direct.witness, partition_for_trace(direct.witness, 2, 2))
+    hist = extract_history(direct.witness, Partition(2, 2))
     guess = story_from_history(hist)
-    assert guess.partition.r == 4
+    assert guess.r == 4
     result = verify_story(m, "", guess, budget=direct.usage.time)
     assert result.accepted and result.phase_steps == direct.usage.time
 
@@ -140,7 +140,7 @@ def test_mstar_trivial_story_smallest_scale(corpus):
     result = simulate_mstar(m, "", 2)
     assert result.accepted
     part = result.winning.partition
-    assert result.winning.k == 2 and part.r == 1 and part.P == 1
+    assert result.winning.k == 2 and result.winning.r == 1 and part.P == 1
     assert len(result.winning.walk) == 2
     c = descriptor_constant(m)
     assert result.sim_space <= max(part.n, 2) + c * part.n

@@ -346,8 +346,8 @@ def test_configuration_search_matches_level_oracle(seed):
     m = random_machine(rng)
     width = rng.randint(1, 4)
     j = rng.randint(1, 2)
-    part = Partition(P=width, n=rng.randint(width, 4), r=2) if j == 1 else \
-        Partition(P=rng.randint(1, width), n=width, r=2)
+    part = Partition(P=width, n=rng.randint(width, 4)) if j == 1 else \
+        Partition(P=rng.randint(1, width), n=width)
     delta = rng.choice((LEFT, RIGHT))
     states = sorted(m.branches) if m.branches and rng.random() < 0.5 else range(m.state_count)
     state = rng.choice(states)

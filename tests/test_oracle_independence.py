@@ -15,7 +15,7 @@ ORACLES = Path(__file__).with_name("oracles.py")
 ENGINES = frozenset({
     "run_with_choices", "run_direct", "search_configurations",
     "enumerate_block_runs", "simulate_phase", "advance_frontier", "check_block",
-    "simulate_mstar", "check_phase_lemma", "normalize",
+    "simulate_mstar", "check_phase_lemma", "normalize", "extract_history", "phase_records",
 })
 
 
@@ -41,4 +41,4 @@ def test_the_check_sees_each_way_in():
                    "import tmlab\ntmlab.check_block(m, j, visits, x, 9)",
                    "from tmlab import block_check\nblock_check.advance_frontier"):
         assert engine_uses(source), source
-    assert engine_uses("from tmlab import verify_story, phase_records") == []
+    assert engine_uses("from tmlab import verify_story, Partition") == []

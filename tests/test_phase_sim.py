@@ -14,7 +14,6 @@ from tmlab import (
     RIGHT,
     RejectReason,
     parse_machine,
-    partition_for_trace,
     phase_records,
     run_direct,
     simulate_phase,
@@ -179,7 +178,7 @@ det 4 a move R 4
 def test_no_sentinels_ever_appear_in_results(corpus):
     m = corpus["guesser"]
     r = run_direct(m, "aaa", 40)
-    part = partition_for_trace(r.witness, P=2, n=3)
+    part = Partition(P=2, n=3)
     for rec in phase_records(r.witness, part):
         if rec.left is None:
             continue
@@ -196,7 +195,7 @@ def test_accepted_outcomes_replay_through_raw_stepping(corpus):
 
     m = corpus["guesser"]
     r = run_direct(m, "aaa", 40)
-    part = partition_for_trace(r.witness, P=1, n=3)
+    part = Partition(P=1, n=3)
     for rec in phase_records(r.witness, part):
         if rec.left is None:
             continue
@@ -227,7 +226,7 @@ def test_recorded_phases_replay_from_ground_truth(corpus):
     assert r.accepted
     n = 4
     for P in range(1, n + 1):
-        part = partition_for_trace(r.witness, P, n)
+        part = Partition(P, n)
         for rec in phase_records(r.witness, part):
             if rec.left is None:
                 continue
@@ -245,7 +244,7 @@ def test_outcomes_match_raw_stepping_oracle(seed):
     rng = random.Random(seed)
     m = random_machine(rng)
     n = rng.randint(1, 3)
-    part = Partition(P=rng.randint(1, n), n=n, r=3)
+    part = Partition(P=rng.randint(1, n), n=n)
     j = rng.randint(1, 3)
     delta = rng.choice((LEFT, RIGHT))
     state = rng.randrange(m.state_count)
